@@ -33,11 +33,12 @@ func benchMesh(b testing.TB, level int) *mesh.Mesh {
 }
 
 // TestPlanStepZeroAllocBigMesh is the allocation regression gate at the
-// first Table-III size (level 7, 163842 cells): a compiled-plan step and a
-// float32 fast-mode step must run without a single heap allocation — at
-// 2.6M cells even one small alloc per kernel launch becomes GC pressure
-// that breaks the Figure-6 scaling story. Build is Lloyd-free: relaxation
-// changes geometry, not the allocation behavior under test.
+// first Table-III size (level 7, 163842 cells): a compiled-plan step —
+// float64 or float32, barrier schedule or task graph — must run without a
+// single heap allocation — at 2.6M cells even one small alloc per kernel
+// launch becomes GC pressure that breaks the Figure-6 scaling story. Build
+// is Lloyd-free: relaxation changes geometry, not the allocation behavior
+// under test.
 func TestPlanStepZeroAllocBigMesh(t *testing.T) {
 	if testing.Short() {
 		t.Skip("level-7 mesh build is slow; skipped under -short")
@@ -65,6 +66,7 @@ func TestPlanStepZeroAllocBigMesh(t *testing.T) {
 		{"plan", Plan, ""},
 		{"taskplan", TaskPlan, ""},
 		{"fast32", Plan, "float32"},
+		{"fast32-taskplan", TaskPlan, "float32"},
 	} {
 		m, err := New(Options{Mesh: msh, TestCase: TC5, Mode: tc.mode, Precision: tc.precision})
 		if err != nil {

@@ -10,10 +10,9 @@ import (
 // band must fail, so the tolerance is demonstrably load-bearing rather than
 // vacuously wide.
 
-// TestFast32NamedCases holds the fast32 strategy to its documented band on
-// every named case over a longer trajectory than the core matrix test, at
-// both worker counts (serial and pooled fast32 must agree with the baseline
-// AND produce identical float32 arithmetic regardless of partitioning).
+// TestFast32NamedCases holds the fast32 strategies to their documented band
+// on every named case over a longer trajectory than the core matrix test,
+// under the barrier schedule and the task graph at both worker counts.
 func TestFast32NamedCases(t *testing.T) {
 	base := Baseline()
 	steps := 6
@@ -26,7 +25,7 @@ func TestFast32NamedCases(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: baseline: %v", name, err)
 		}
-		for _, s := range []Strategy{Fast32(1), Fast32(4)} {
+		for _, s := range []Strategy{Fast32(1), Fast32(4), Fast32Task(1), Fast32Task(4)} {
 			res, err := s.Run(c, false)
 			if err != nil {
 				t.Errorf("%s/%s: %v", name, s.Name, err)
@@ -46,27 +45,29 @@ func TestFast32NamedCases(t *testing.T) {
 
 // TestFast32RandomCases sweeps seeded random cases (jittered meshes, random
 // configuration corners: APVM on/off, high-order thickness, viscosity,
-// Rayleigh friction, advection-only) under the relative comparator.
+// Rayleigh friction, advection-only) under the relative comparator, for the
+// barrier schedule and the task graph.
 func TestFast32RandomCases(t *testing.T) {
 	base := Baseline()
-	fast := Fast32(2)
 	for _, c := range RandomCases(7, 4, 2, 3) {
 		ref, err := base.Run(c, false)
 		if err != nil {
 			t.Fatalf("%s: baseline: %v", c.Name, err)
 		}
-		res, err := fast.Run(c, false)
-		if err != nil {
-			t.Errorf("%s/%s: %v", c.Name, fast.Name, err)
-			continue
-		}
-		tol := PairTolerance(base, fast, c.Steps)
-		d, ok := CompareResults(ref, res, tol)
-		if !ok {
-			t.Errorf("%s/%s outside the documented band %.1e: %v",
-				c.Name, fast.Name, tol.RelLInf, d)
-		} else {
-			t.Logf("%s/%s: %v (band %.1e)", c.Name, fast.Name, d, tol.RelLInf)
+		for _, fast := range []Strategy{Fast32(2), Fast32Task(2)} {
+			res, err := fast.Run(c, false)
+			if err != nil {
+				t.Errorf("%s/%s: %v", c.Name, fast.Name, err)
+				continue
+			}
+			tol := PairTolerance(base, fast, c.Steps)
+			d, ok := CompareResults(ref, res, tol)
+			if !ok {
+				t.Errorf("%s/%s outside the documented band %.1e: %v",
+					c.Name, fast.Name, tol.RelLInf, d)
+			} else {
+				t.Logf("%s/%s: %v (band %.1e)", c.Name, fast.Name, d, tol.RelLInf)
+			}
 		}
 	}
 }

@@ -160,17 +160,28 @@ func TaskPlanned(workers int) Strategy {
 // the tolerance stays honest.
 const Fast32Band = 5e-6
 
-// Fast32 is the float32 fast-mode step (sw.Fast32Runner): the whole RK-4
-// step computed in single precision over CSR-packed SoA arrays, loading from
-// and storing to the float64 state around each step. Not exact by
-// construction; held to Fast32Band per step. Stage recording is forcibly
-// disabled: a PostSubstep hook would silently route the run through the
-// float64 path, and a fast32 result must actually measure fast32.
+// Fast32 is the float32 fast-mode step (sw.NewFast32Runner): the compiled
+// plan instantiated at float32 over CSR-packed SoA arrays, loading from and
+// storing to the float64 state around each step. Not exact by construction;
+// held to Fast32Band per step. Stage recording is forcibly disabled: a
+// PostSubstep hook would silently route the run through the float64 path,
+// and a fast32 result must actually measure fast32.
 func Fast32(workers int) Strategy {
-	name := fmt.Sprintf("fast32-w%d", workers)
+	return fast32(fmt.Sprintf("fast32-w%d", workers), workers, sw.NewFast32Runner)
+}
+
+// Fast32Task is Fast32 lowered to the task graph
+// (sw.NewFast32TaskPlanRunner). Every task runs the same float32 closure
+// over the same range as the barrier schedule, so it matches Fast32 to the
+// bit; it is held to the same band against the baseline.
+func Fast32Task(workers int) Strategy {
+	return fast32(fmt.Sprintf("fast32-taskplan-w%d", workers), workers, sw.NewFast32TaskPlanRunner)
+}
+
+func fast32(name string, workers int, compile func(*sw.Solver, *par.Pool) (*sw.CompiledRunner[float32], error)) Strategy {
 	st := solverStrategy(name, false, func(s *sw.Solver) (func(), error) {
 		pool := par.NewPool(workers)
-		r, err := sw.NewFast32Runner(s, pool)
+		r, err := compile(s, pool)
 		if err != nil {
 			pool.Close()
 			return nil, err
@@ -325,6 +336,8 @@ func AllStrategies() []Strategy {
 		MPI(4),
 		Fast32(1),
 		Fast32(4),
+		Fast32Task(1),
+		Fast32Task(4),
 	}
 }
 

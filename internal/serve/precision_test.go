@@ -66,4 +66,16 @@ func TestFloat32JobValidation(t *testing.T) {
 		!strings.Contains(err.Error(), "precision") {
 		t.Fatalf("unknown precision accepted (err=%v)", err)
 	}
+
+	// A rejected mode: the message lists every mode float32 accepts.
+	sp = JobSpec{TestCase: 5, Level: 2, Mode: "pattern", Precision: "float32", Steps: 4}
+	err := sp.Normalize()
+	if err == nil {
+		t.Fatal("float32 under the pattern hybrid mode accepted")
+	}
+	for mode := range float32Modes {
+		if !strings.Contains(err.Error(), mode) {
+			t.Errorf("rejection %q does not name accepted mode %q", err, mode)
+		}
+	}
 }

@@ -119,9 +119,10 @@ type JobSpec struct {
 	// ensembles, must stay within (0, 1e-3].
 	PerturbEps float64 `json:"perturb_eps,omitempty"`
 	// Precision selects the step arithmetic: "" or "float64" for the
-	// reference path, "float32" for the fast mode (serial/threaded/plan
-	// modes only; see mpas.Options.Precision). Checkpoints stay float64, so
-	// a suspended job may be resumed under a different precision.
+	// reference path, "float32" for the fast mode (serial, threaded, plan
+	// and taskplan modes only; see mpas.Options.Precision). Checkpoints stay
+	// float64, so a suspended job may be resumed under a different
+	// precision.
 	Precision string `json:"precision,omitempty"`
 	// Reorder runs the job on the SFC locality-renumbered mesh
 	// (mpas.Options.Reorder). Checkpoints stay in canonical numbering, so
@@ -218,7 +219,7 @@ func (sp *JobSpec) Normalize() error {
 		return fmt.Errorf("serve: unknown precision %q (want float64 or float32)", sp.Precision)
 	}
 	if sp.Precision == "float32" && !float32Modes[sp.Mode] {
-		return fmt.Errorf("serve: precision float32 requires mode serial, threaded or plan, not %q", sp.Mode)
+		return fmt.Errorf("serve: precision float32 requires mode serial, threaded, plan or taskplan, not %q", sp.Mode)
 	}
 	return nil
 }

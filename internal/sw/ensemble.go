@@ -11,15 +11,15 @@ import (
 
 // Ensemble stepping: K perturbed trajectories of the SAME configuration
 // multiplexed through ONE Solver. The mesh, the precomputed label matrices,
-// the gather weights and — when a PlanRunner is attached — the compiled
-// execution plan are all built once and shared by every member; only the
-// prognostic state (h, u) plus the clock is per-member. A member is
-// activated by copying its state into the solver and re-deriving the
-// diagnostics (exactly the checkpoint-resume path internal/conform proves
-// lands on the uninterrupted trajectory within the exact-strategy ULP
-// band), and consecutive activations of the SAME member skip the swap
-// entirely, so chunked round-robin stepping pays one diagnostic solve per
-// member per chunk and zero plan recompilations ever.
+// the gather weights and — when a compiled runner of either precision is
+// attached — the compiled execution plan are all built once and shared by
+// every member; only the prognostic state (h, u) plus the clock is
+// per-member. A member is activated by copying its state into the solver
+// and re-deriving the diagnostics (exactly the checkpoint-resume path
+// internal/conform proves lands on the uninterrupted trajectory within the
+// exact-strategy ULP band), and consecutive activations of the SAME member
+// skip the swap entirely, so chunked round-robin stepping pays one
+// diagnostic solve per member per chunk and zero plan recompilations ever.
 //
 // This is the batch-admission substrate of the serving layer: an ensemble
 // job is K jittered initial conditions advanced in rounds, their invariant

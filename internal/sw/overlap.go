@@ -102,7 +102,7 @@ func threshold(sp opSpec, taint map[string]int) int {
 
 // interiorCount maps an op's output index space to its interior prefix
 // length at threshold t.
-func (r *PlanRunner) interiorCount(ov *Overlap, sp opSpec, t int) (int, error) {
+func (r *CompiledRunner[F]) interiorCount(ov *Overlap, sp opSpec, t int) (int, error) {
 	var n int
 	switch sp.out {
 	case pattern.Mass:
@@ -140,7 +140,7 @@ func offsetRanges(lo, hi, nw int) [][2]int32 {
 // boundary slices get conservative all-barriers: splitting ranges breaks
 // the identical-partition premise of the locality predicate that let the
 // original schedule elide some of them.
-func (r *PlanRunner) overlayPlan(p *plan, ov *Overlap) (*plan, error) {
+func (r *CompiledRunner[F]) overlayPlan(p *plan, ov *Overlap) (*plan, error) {
 	nw := r.pool.Workers()
 	q := &plan{s: p.s, ov: ov, specs: p.specs}
 	for i := 0; i < len(p.ops); i++ {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/dataflow"
 	"repro/internal/mesh"
@@ -38,12 +39,26 @@ import (
 // Graph.ValidateOrder, and every non-local dependency edge must be separated
 // by at least one barrier (checked both with and without the optional
 // PostSubstep hook in the schedule).
+//
+// The plan is generic over its arithmetic precision F. At float64 it works
+// in the solver's own arrays and is bitwise identical to the kernel-by-kernel
+// step. At float32 (the fast mode: half the bytes streamed per step) it owns
+// a rounded working set, and its program gains ordinary ops at both ends — a
+// prologue loading h/u/b from the float64 State and solving the entry
+// diagnostics, an epilogue storing the accepted state and the invariant
+// diagnostics back — so the float64 State stays the single source of truth
+// (ensemble swaps, checkpoint restore) and liveness, leveling, verification
+// and task lowering treat the float32 program like any other.
 
 // stepRoots are the variables that must be correct after a plan step: the
 // accepted prognostic state plus the diagnostics ComputeInvariants reads.
 // Everything else either feeds the next step (kept live by the program's
 // own upward-exposed reads) or is recomputed before use.
 var stepRoots = []string{"h0", "u0", "ke", "pv_vertex", "h_vertex"}
+
+// storeRoots are the float32 program's roots: the float64 images its
+// epilogue writes (the "64" suffix names the solver's float64 arrays).
+var storeRoots = []string{"h64", "u64", "ke64", "pv_vertex64", "h_vertex64"}
 
 // opSpec is a schedulable operation before compilation: def/use metadata for
 // the data-flow graph plus the compiled range closure.
@@ -161,12 +176,16 @@ func (p *plan) run(t *par.Team) {
 	}
 }
 
-// PlanRunner is a Runner that advances whole RK-4 steps through a compiled
-// execution plan (Step() takes the plan path when a PlanRunner is attached
-// and no tracers are registered). For anything else — Init, tracer runs,
-// direct kernel invocations — RunKernel executes the kernel's original
-// patterns through a per-kernel compiled schedule with no elision, so all
-// diagnostics (including ones the step plan elides) are computed there.
+// Float is the arithmetic precision a compiled plan is instantiated at.
+type Float interface{ float32 | float64 }
+
+// CompiledRunner is a Runner that advances whole RK-4 steps through a
+// compiled execution plan at precision F (Step() takes the plan path when a
+// runner compiled for the solver is attached and no tracers are registered).
+// For anything else — Init, tracer runs, direct kernel invocations —
+// RunKernel executes the kernel's original float64 patterns through a
+// per-kernel compiled schedule with no elision, so all diagnostics
+// (including ones the step plan elides) are computed there.
 //
 // A plan step maintains the prognostic state, the invariant diagnostics
 // (ke, h_vertex, pv_vertex) and everything the next step consumes; purely
@@ -174,7 +193,7 @@ func (p *plan) run(t *par.Team) {
 // default configuration, the velocity reconstruction) go stale. Checkpoint,
 // conformance and invariant monitoring never read them; call Init to refresh
 // them if needed.
-type PlanRunner struct {
+type CompiledRunner[F Float] struct {
 	s    *Solver
 	pool *par.Pool
 	// cfg snapshots the configuration the plan was specialized on; Step
@@ -187,9 +206,18 @@ type PlanRunner struct {
 	// validation is what licenses their unchecked loads.
 	csr *mesh.CSR
 
-	// Hoisted gather weights, packed by csr.CellPtr (wA1, wA3, wKite) and
-	// by vertex degree (wE); see buildWeights.
-	wA1, wA3, wKite, wE []float64
+	// The working set the compiled kernels read and write (see bind):
+	// accepted (h0/u0), provisional (hP/uP) and accumulator (hN/uN) state,
+	// tendencies, bottom topography, diagnostics, mesh constants, and the
+	// hoisted gather weights packed by csr.CellPtr (wA1, wA3, wKite) and by
+	// vertex degree (wE).
+	h0, hP, hN, tendH, b                []F
+	u0, uP, uN, tendU                   []F
+	hEdge, ke, pvEdge, v, div, d2, vort []F
+	hVert, pvVert, pvCell               []F
+	areaCell, dcEdge, dvEdge, wEdge     []F
+	areaTri, fVertex, kite              []F
+	wA1, wA3, wKite, wE                 []F
 
 	// ov is non-nil on runners built by NewOverlapPlanRunner: the step plan
 	// carries post/wait exchange ops instead of hook slots, and Step takes
@@ -201,32 +229,53 @@ type PlanRunner struct {
 	rangeCache  map[int][][2]int32
 	elided      []string
 
-	// tasks is non-nil on runners built by NewTaskPlanRunner /
-	// NewOverlapTaskPlanRunner: the step plan lowered once more, from a
-	// level-barrier schedule to a dependency-counted task graph
-	// (taskplan.go), which step() then runs instead of the barrier region.
+	// tasks is non-nil on task-graph runners (NewTaskPlanRunner,
+	// NewOverlapTaskPlanRunner, NewFast32TaskPlanRunner): the step plan
+	// lowered once more, from a level-barrier schedule to a
+	// dependency-counted task graph (taskplan.go), which step() then runs
+	// instead of the barrier region.
 	tasks *par.TaskGraph
 }
 
-// planCompiles counts NewPlanRunner compilations process-wide. Ensemble
-// serving rides on the guarantee that K members share ONE compiled plan;
-// tests pin that by asserting this counter's delta.
+// PlanRunner is the float64 compiled plan — the reference precision,
+// bitwise identical to the kernel-by-kernel step.
+type PlanRunner = CompiledRunner[float64]
+
+// planCompiles counts step-plan compilations process-wide, at every
+// precision. Ensemble serving rides on the guarantee that K members share
+// ONE compiled plan; tests pin that by asserting this counter's delta.
 var planCompiles atomic.Int64
 
-// PlanCompileCount returns the number of plan compilations performed by
-// this process so far (monotone; read before/after an operation to count
-// the compilations it triggered).
+// PlanCompileCount returns the number of step-plan compilations (float64
+// and float32, barrier and task-graph alike) performed by this process so
+// far (monotone; read before/after an operation to count the compilations
+// it triggered).
 func PlanCompileCount() int64 { return planCompiles.Load() }
 
-// NewPlanRunner compiles the execution plan for s. The pool provides the
-// worker team (nil means serial); the caller keeps ownership of it. The
-// returned runner is specific to s and to the pool's worker count.
+// NewPlanRunner compiles the float64 execution plan for s. The pool
+// provides the worker team (nil means serial); the caller keeps ownership of
+// it. The returned runner is specific to s and to the pool's worker count.
 func NewPlanRunner(s *Solver, pool *par.Pool) (*PlanRunner, error) {
+	return compileRunner[float64](s, pool, false)
+}
+
+// NewFast32Runner compiles the float32 execution plan for s (the fast mode,
+// see CompiledRunner): the same program as NewPlanRunner's, instantiated at
+// float32, with the load/store ops around it. Pool ownership as for
+// NewPlanRunner.
+func NewFast32Runner(s *Solver, pool *par.Pool) (*CompiledRunner[float32], error) {
+	return compileRunner[float32](s, pool, false)
+}
+
+// compileRunner compiles the step plan for s at precision F, lowered to a
+// task graph when tasks is set, plus the per-kernel float64 schedules
+// RunKernel uses.
+func compileRunner[F Float](s *Solver, pool *par.Pool, tasks bool) (*CompiledRunner[F], error) {
 	planCompiles.Add(1)
 	if pool == nil {
 		pool = par.NewPool(1)
 	}
-	r := &PlanRunner{s: s, pool: pool, cfg: s.Cfg, rangeCache: map[int][][2]int32{}}
+	r := &CompiledRunner[F]{s: s, pool: pool, cfg: s.Cfg, rangeCache: map[int][][2]int32{}}
 	csr, err := s.M.PackCSR()
 	if err != nil {
 		return nil, fmt.Errorf("sw: packing mesh adjacency: %w", err)
@@ -235,10 +284,13 @@ func NewPlanRunner(s *Solver, pool *par.Pool) (*PlanRunner, error) {
 	if err := checkSolverShapes(s, csr); err != nil {
 		return nil, fmt.Errorf("sw: plan shapes: %w", err)
 	}
-	r.buildWeights()
+	r.bind()
 
-	specs := r.stepSpecs()
-	kept, elided := elideDead(specs, stepRoots)
+	roots := stepRoots
+	if single[F]() {
+		roots = storeRoots
+	}
+	kept, elided := elideDead(r.stepSpecs(), roots)
 	r.elided = elided
 	p, err := r.compile(splitStages(kept))
 	if err != nil {
@@ -254,6 +306,11 @@ func NewPlanRunner(s *Solver, pool *par.Pool) (*PlanRunner, error) {
 		}
 		r.kernelPlans[k] = kp
 	}
+	if tasks {
+		if err := r.taskify(); err != nil {
+			return nil, err
+		}
+	}
 	return r, nil
 }
 
@@ -268,17 +325,17 @@ func MustNewPlanRunner(s *Solver, pool *par.Pool) *PlanRunner {
 
 // Elided returns the Table I ops the liveness pass removed from the step
 // plan, sorted.
-func (r *PlanRunner) Elided() []string {
+func (r *CompiledRunner[F]) Elided() []string {
 	out := append([]string(nil), r.elided...)
 	sort.Strings(out)
 	return out
 }
 
 // Barriers returns the number of unconditional barriers in one plan step.
-func (r *PlanRunner) Barriers() int { return r.stepPlan.barriers }
+func (r *CompiledRunner[F]) Barriers() int { return r.stepPlan.barriers }
 
 // OpIDs returns the step schedule in execution order.
-func (r *PlanRunner) OpIDs() []string {
+func (r *CompiledRunner[F]) OpIDs() []string {
 	out := make([]string, len(r.stepPlan.ops))
 	for i, op := range r.stepPlan.ops {
 		out[i] = op.id
@@ -286,48 +343,99 @@ func (r *PlanRunner) OpIDs() []string {
 	return out
 }
 
-// buildWeights precomputes the hoisted gather weights, packed by the CSR
-// row pointers so the hot loops stream them stride-1. wA1[k] is the signed
-// edge length s.signCell*DvEdge shared by A1 and A2; wA3 is A3's quadrature
-// weight (0.25*Dc)*Dv; wKite is C2's kite fraction; wE is E's signed
-// dual-edge length. Each stored product reproduces the original
-// left-associated prefix, so multiplying by the remaining factors gives the
-// original rounding exactly. (Ordinary checked indexing is fine here — this
-// is compile-time setup, not a hot loop; plan_kernels.go must stay free of
-// slice indexing for the bounds-check gate.)
-func (r *PlanRunner) buildWeights() {
+// single reports whether F is float32 — a plan that owns its working set.
+func single[F Float]() bool {
+	var z F
+	return unsafe.Sizeof(z) == 4
+}
+
+// aligned allocates a cache-line-aligned []F (mesh.AlignedFloat64/32).
+func aligned[F Float](n int) []F {
+	if single[F]() {
+		return any(mesh.AlignedFloat32(n)).([]F)
+	}
+	return any(mesh.AlignedFloat64(n)).([]F)
+}
+
+// share returns a itself when F is float64 — the kernels then work in the
+// solver's own array — and otherwise a fresh array of the same length.
+func share[F Float](a []float64) []F {
+	if x, ok := any(a).([]F); ok {
+		return x
+	}
+	return aligned[F](len(a))
+}
+
+// round returns a itself when F is float64 and otherwise a copy rounded
+// once to F.
+func round[F Float](a []float64) []F {
+	if x, ok := any(a).([]F); ok {
+		return x
+	}
+	x := aligned[F](len(a))
+	for i, v := range a {
+		x[i] = F(v)
+	}
+	return x
+}
+
+// bind sets up the working set. At float64 every array is the solver's or
+// the mesh's own (no copies, no new memory); at float32 the runner owns its
+// state, tendency and diagnostic arrays and a rounded copy of each mesh
+// constant.
+//
+// The hoisted gather weights are packed by the CSR row pointers so the hot
+// loops stream them stride-1. wA1[k] is the signed edge length
+// s.signCell*DvEdge shared by A1 and A2; wA3 is A3's quadrature weight
+// (0.25*Dc)*Dv; wKite is C2's kite fraction; wE is E's signed dual-edge
+// length. Each product is formed in float64, reproducing the original
+// left-associated prefix, and converted to F once — so at float64,
+// multiplying by the remaining factors gives the original rounding exactly.
+// (Ordinary checked indexing is fine here — this is compile-time setup, not
+// a hot loop; plan_kernels.go must stay free of slice indexing for the
+// bounds-check gate.)
+func (r *CompiledRunner[F]) bind() {
 	s := r.s
 	m := s.M
+	r.h0, r.hP, r.hN = share[F](s.State.H), share[F](s.Provis.H), share[F](s.next.H)
+	r.u0, r.uP, r.uN = share[F](s.State.U), share[F](s.Provis.U), share[F](s.next.U)
+	r.tendH, r.tendU, r.b = share[F](s.Tend.H), share[F](s.Tend.U), share[F](s.B)
+	d := s.Diag
+	r.hEdge, r.ke, r.pvEdge, r.v = share[F](d.HEdge), share[F](d.KE), share[F](d.PVEdge), share[F](d.V)
+	r.div, r.d2, r.vort = share[F](d.Divergence), share[F](d.D2fdx2Cell), share[F](d.Vorticity)
+	r.hVert, r.pvVert, r.pvCell = share[F](d.HVertex), share[F](d.PVVertex), share[F](d.PVCell)
+	r.areaCell, r.dcEdge, r.dvEdge = round[F](m.AreaCell), round[F](m.DcEdge), round[F](m.DvEdge)
+	r.areaTri, r.fVertex, r.kite = round[F](m.AreaTriangle), round[F](m.FVertex), round[F](m.KiteAreasOnVertex)
+	r.wEdge = round[F](r.csr.EdgeWeights)
+
 	c := r.csr
 	nnz := len(c.CellEdges)
-	r.wA1 = mesh.AlignedFloat64(nnz)
-	r.wA3 = mesh.AlignedFloat64(nnz)
-	r.wKite = mesh.AlignedFloat64(nnz)
+	r.wA1, r.wA3, r.wKite = aligned[F](nnz), aligned[F](nnz), aligned[F](nnz)
 	for cell := 0; cell < m.NCells; cell++ {
 		lo, hi := c.CellRow(cell)
 		base := cell * mesh.MaxEdges
 		for j := 0; j < hi-lo; j++ {
 			e := m.EdgesOnCell[base+j]
-			r.wA1[lo+j] = s.signCell[base+j] * m.DvEdge[e]
-			r.wA3[lo+j] = 0.25 * m.DcEdge[e] * m.DvEdge[e]
-			r.wKite[lo+j] = s.kiteOnCell[base+j]
+			r.wA1[lo+j] = F(s.signCell[base+j] * m.DvEdge[e])
+			r.wA3[lo+j] = F(0.25 * m.DcEdge[e] * m.DvEdge[e])
+			r.wKite[lo+j] = F(s.kiteOnCell[base+j])
 		}
 	}
-	r.wE = mesh.AlignedFloat64(m.NVertices * mesh.VertexDegree)
+	r.wE = aligned[F](m.NVertices * mesh.VertexDegree)
 	for v := 0; v < m.NVertices; v++ {
 		base := v * mesh.VertexDegree
 		for j := 0; j < mesh.VertexDegree; j++ {
 			e := m.EdgesOnVertex[base+j]
-			r.wE[base+j] = s.signVertex[base+j] * m.DcEdge[e]
+			r.wE[base+j] = F(s.signVertex[base+j] * m.DcEdge[e])
 		}
 	}
 }
 
 // checkSolverShapes asserts, once at compile time, that every array the
-// compiled kernels (plan_kernels.go, fast32_kernels.go) access through
-// unchecked views covers its index space. Together with the CSR pack-time
-// column validation this is the safety argument for the bounds-check-free
-// hot loops.
+// compiled kernels (plan_kernels.go) access through unchecked views covers
+// its index space (at float32, the runner's arrays take the solver's
+// lengths). Together with the CSR pack-time column validation this is the
+// safety argument for the bounds-check-free hot loops.
 func checkSolverShapes(s *Solver, csr *mesh.CSR) error {
 	m := s.M
 	nc, ne, nv := m.NCells, m.NEdges, m.NVertices
@@ -373,12 +481,40 @@ func checkSolverShapes(s *Solver, csr *mesh.CSR) error {
 	return nil
 }
 
-// step advances one RK-4 time step through the compiled plan (called from
-// Solver.Step).
-func (r *PlanRunner) step() {
+// stepper is the plan path of Solver.Step, implemented by compiled runners
+// of either precision.
+type stepper interface {
+	// tryStep advances s by one step through the compiled plan and reports
+	// true, or reports false when the plan path does not apply.
+	tryStep(s *Solver) bool
+}
+
+// tryStep takes the plan path when the runner was compiled for s and its
+// current configuration and no tracers are registered (tracer advection is
+// not part of the compiled program). A PostSubstep hook additionally needs
+// the program's hook slots: the overlay compiled them into Post/Wait
+// exchange ops, and a float32 program has none (its intermediate states
+// live in float32 arrays a hook could not see), so those fall back to the
+// blocking kernel loop.
+func (r *CompiledRunner[F]) tryStep(s *Solver) bool {
+	if r.s != s || r.cfg != s.Cfg || len(s.Tracers) > 0 ||
+		(s.PostSubstep != nil && (r.ov != nil || single[F]())) {
+		return false
+	}
+	r.step()
+	return true
+}
+
+// step advances one RK-4 time step through the compiled plan.
+func (r *CompiledRunner[F]) step() {
 	s := r.s
 	name := "rk4_step_plan"
-	if r.tasks != nil {
+	switch {
+	case single[F]() && r.tasks != nil:
+		name = "rk4_step_fast32_taskplan"
+	case single[F]():
+		name = "rk4_step_fast32"
+	case r.tasks != nil:
 		name = "rk4_step_taskplan"
 	}
 	span := s.Trace.StartSpan(name)
@@ -398,7 +534,7 @@ func (r *PlanRunner) step() {
 // direct kernel calls): the kernel's original patterns run through a cached
 // leveled schedule inside one region. Unknown kernels fall back to the
 // per-kernel region of PoolRunner.
-func (r *PlanRunner) RunKernel(k *Kernel) {
+func (r *CompiledRunner[F]) RunKernel(k *Kernel) {
 	if kp, ok := r.kernelPlans[k]; ok {
 		r.pool.Region(kp.exec)
 		return
@@ -437,14 +573,68 @@ func splitStages(specs []opSpec) [][]opSpec {
 // the provisional state, h_new/u_new the RK accumulator. Stage 0's tendency
 // ops read the accepted state directly (the Provis copy it replaces was
 // bitwise identical), stage 3's solve_diagnostics reads the committed state.
-func (r *PlanRunner) stepSpecs() []opSpec {
+//
+// A float32 program additionally opens stage 0 with the loads of h0/u0/b
+// from their float64 images (h64/u64/b64) and the entry diagnostics they
+// feed ("@in" ops), and closes stage 3 with the stores of h0, u0, ke,
+// h_vertex and pv_vertex back to the float64 arrays. It carries no hook
+// slots (see tryStep).
+func (r *CompiledRunner[F]) stepSpecs() []opSpec {
 	s := r.s
 	m := s.M
 	cfg := s.Cfg
 	nc, ne, nv := m.NCells, m.NEdges, m.NVertices
+	f32 := single[F]()
 
 	var specs []opSpec
 	add := func(sp opSpec) { specs = append(specs, sp) }
+
+	// diag appends compute_solve_diagnostics for stage, reading the state
+	// named (hn, un) and held in (hs, us).
+	diag := func(stage int, suf, hn, un string, hs, us []F) {
+		if cfg.HighOrderThickness {
+			add(opSpec{id: "C1" + suf, stage: stage, n: nc, shape: pattern.ShapeC, out: pattern.Mass,
+				reads: []string{hn}, writes: []string{"d2fdx2_cell"}, run: r.cC1(hs)})
+			add(opSpec{id: "D2" + suf, stage: stage, n: ne, shape: pattern.ShapeD, out: pattern.Velocity,
+				reads: []string{hn, "d2fdx2_cell"}, writes: []string{"h_edge"}, run: r.cD2(hs)})
+		} else {
+			add(opSpec{id: "D1" + suf, stage: stage, n: ne, shape: pattern.ShapeD, out: pattern.Velocity,
+				reads: []string{hn}, writes: []string{"h_edge"}, run: r.cD1(hs)})
+		}
+		add(opSpec{id: "E" + suf, stage: stage, n: nv, shape: pattern.ShapeE, out: pattern.Vorticity,
+			reads: []string{un}, writes: []string{"vorticity"}, run: r.cE(us)})
+		add(opSpec{id: "A2" + suf, stage: stage, n: nc, shape: pattern.ShapeA, out: pattern.Mass,
+			reads: []string{un}, writes: []string{"divergence"}, run: r.cA2(us)})
+		add(opSpec{id: "A3" + suf, stage: stage, n: nc, shape: pattern.ShapeA, out: pattern.Mass,
+			reads: []string{un}, writes: []string{"ke"}, run: r.cA3(us)})
+		add(opSpec{id: "F" + suf, stage: stage, n: ne, shape: pattern.ShapeF, out: pattern.Velocity,
+			reads: []string{un}, writes: []string{"v"}, run: r.cF(us)})
+		add(opSpec{id: "G" + suf, stage: stage, n: nv, shape: pattern.ShapeG, out: pattern.Vorticity,
+			reads: []string{hn, "vorticity"}, writes: []string{"h_vertex", "pv_vertex"}, run: r.cG(hs)})
+		add(opSpec{id: "C2" + suf, stage: stage, n: nc, shape: pattern.ShapeC, out: pattern.Mass,
+			reads: []string{"pv_vertex"}, writes: []string{"pv_cell"}, run: r.cC2()})
+		add(opSpec{id: "H2" + suf, stage: stage, n: nc, shape: pattern.ShapeH, out: pattern.Mass,
+			reads: []string{"vorticity"}, writes: []string{"vorticity_cell"}, run: s.patH2})
+		add(opSpec{id: "H1" + suf, stage: stage, n: ne, shape: pattern.ShapeH, out: pattern.Velocity,
+			reads: []string{"pv_vertex"}, writes: []string{"pv_edge"}, run: r.cH1()})
+		if cfg.APVM != 0 {
+			add(opSpec{id: "B2" + suf, stage: stage, n: ne, shape: pattern.ShapeB, out: pattern.Velocity,
+				reads:  []string{"pv_vertex", "pv_cell", un, "v", "pv_edge"},
+				writes: []string{"pv_edge"}, run: r.cB2(us)})
+		}
+	}
+	// xfer is a float32 load/store op: pointwise over one index space.
+	xfer := func(id string, stage, n int, out pattern.PointType, from, to string, run func(lo, hi int)) {
+		add(opSpec{id: id, stage: stage, n: n, shape: pattern.ShapeX, out: out,
+			reads: []string{from}, writes: []string{to}, run: run})
+	}
+
+	if f32 {
+		xfer("load_h@in", 0, nc, pattern.Mass, "h64", "h0", load(r.h0, s.State.H))
+		xfer("load_b@in", 0, nc, pattern.Mass, "b64", "b", load(r.b, s.B))
+		xfer("load_u@in", 0, ne, pattern.Velocity, "u64", "u0", load(r.u0, s.State.U))
+		diag(0, "@in", "h0", "u0", r.h0, r.u0)
+	}
 
 	for stage := 0; stage < 4; stage++ {
 		suf := fmt.Sprintf("@%d", stage)
@@ -455,10 +645,10 @@ func (r *PlanRunner) stepSpecs() []opSpec {
 			tendH, tendU = "h0", "u0"
 		}
 		diagH, diagU := "h", "u"
-		diagSt := s.Provis
+		diagHs, diagUs := r.hP, r.uP
 		if stage == 3 {
 			diagH, diagU = "h0", "u0"
-			diagSt = s.State
+			diagHs, diagUs = r.h0, r.u0
 		}
 
 		// --- fused tendency + accumulate (+ provisional or commit) -------
@@ -468,7 +658,7 @@ func (r *PlanRunner) stepSpecs() []opSpec {
 		tuReads := []string{tendU}
 		tuWrites := []string{"tend_u"}
 		if !cfg.AdvectionOnly {
-			tuReads = append(tuReads, "pv_edge", "h_edge", "ke", tendH)
+			tuReads = append(tuReads, "pv_edge", "h_edge", "ke", tendH, "b")
 			if cfg.Viscosity != 0 {
 				tuReads = append(tuReads, "divergence", "vorticity")
 			}
@@ -505,40 +695,12 @@ func (r *PlanRunner) stepSpecs() []opSpec {
 		}
 
 		// --- PostSubstep hook slot ---------------------------------------
-		add(opSpec{id: "hook" + suf, stage: stage, hook: true,
-			reads: []string{diagH, diagU}, writes: []string{diagH, diagU}})
+		if !f32 {
+			add(opSpec{id: "hook" + suf, stage: stage, hook: true,
+				reads: []string{diagH, diagU}, writes: []string{diagH, diagU}})
+		}
 
-		// --- compute_solve_diagnostics -----------------------------------
-		if cfg.HighOrderThickness {
-			add(opSpec{id: "C1" + suf, stage: stage, n: nc, shape: pattern.ShapeC, out: pattern.Mass,
-				reads: []string{diagH}, writes: []string{"d2fdx2_cell"}, run: r.cC1(diagSt)})
-			add(opSpec{id: "D2" + suf, stage: stage, n: ne, shape: pattern.ShapeD, out: pattern.Velocity,
-				reads: []string{diagH, "d2fdx2_cell"}, writes: []string{"h_edge"}, run: r.cD2(diagSt)})
-		} else {
-			add(opSpec{id: "D1" + suf, stage: stage, n: ne, shape: pattern.ShapeD, out: pattern.Velocity,
-				reads: []string{diagH}, writes: []string{"h_edge"}, run: r.cD1(diagSt)})
-		}
-		add(opSpec{id: "E" + suf, stage: stage, n: nv, shape: pattern.ShapeE, out: pattern.Vorticity,
-			reads: []string{diagU}, writes: []string{"vorticity"}, run: r.cE(diagSt)})
-		add(opSpec{id: "A2" + suf, stage: stage, n: nc, shape: pattern.ShapeA, out: pattern.Mass,
-			reads: []string{diagU}, writes: []string{"divergence"}, run: r.cA2(diagSt)})
-		add(opSpec{id: "A3" + suf, stage: stage, n: nc, shape: pattern.ShapeA, out: pattern.Mass,
-			reads: []string{diagU}, writes: []string{"ke"}, run: r.cA3(diagSt)})
-		add(opSpec{id: "F" + suf, stage: stage, n: ne, shape: pattern.ShapeF, out: pattern.Velocity,
-			reads: []string{diagU}, writes: []string{"v"}, run: r.cF(diagSt)})
-		add(opSpec{id: "G" + suf, stage: stage, n: nv, shape: pattern.ShapeG, out: pattern.Vorticity,
-			reads: []string{diagH, "vorticity"}, writes: []string{"h_vertex", "pv_vertex"}, run: r.cG(diagSt)})
-		add(opSpec{id: "C2" + suf, stage: stage, n: nc, shape: pattern.ShapeC, out: pattern.Mass,
-			reads: []string{"pv_vertex"}, writes: []string{"pv_cell"}, run: r.cC2()})
-		add(opSpec{id: "H2" + suf, stage: stage, n: nc, shape: pattern.ShapeH, out: pattern.Mass,
-			reads: []string{"vorticity"}, writes: []string{"vorticity_cell"}, run: s.patH2})
-		add(opSpec{id: "H1" + suf, stage: stage, n: ne, shape: pattern.ShapeH, out: pattern.Velocity,
-			reads: []string{"pv_vertex"}, writes: []string{"pv_edge"}, run: r.cH1()})
-		if cfg.APVM != 0 {
-			add(opSpec{id: "B2" + suf, stage: stage, n: ne, shape: pattern.ShapeB, out: pattern.Velocity,
-				reads:  []string{"pv_vertex", "pv_cell", diagU, "v", "pv_edge"},
-				writes: []string{"pv_edge"}, run: r.cB2(diagSt)})
-		}
+		diag(stage, suf, diagH, diagU, diagHs, diagUs)
 
 		// --- mpas_reconstruct (stage 3 only; cur == State there) ---------
 		if stage == 3 {
@@ -549,6 +711,14 @@ func (r *PlanRunner) stepSpecs() []opSpec {
 				reads:  []string{"uReconstructX", "uReconstructY", "uReconstructZ"},
 				writes: []string{"uReconstructZonal", "uReconstructMeridional"}, run: s.patX6})
 		}
+	}
+
+	if f32 {
+		xfer("store_h@3", 3, nc, pattern.Mass, "h0", "h64", store(s.State.H, r.h0))
+		xfer("store_ke@3", 3, nc, pattern.Mass, "ke", "ke64", store(s.Diag.KE, r.ke))
+		xfer("store_u@3", 3, ne, pattern.Velocity, "u0", "u64", store(s.State.U, r.u0))
+		xfer("store_hv@3", 3, nv, pattern.Vorticity, "h_vertex", "h_vertex64", store(s.Diag.HVertex, r.hVert))
+		xfer("store_pv@3", 3, nv, pattern.Vorticity, "pv_vertex", "pv_vertex64", store(s.Diag.PVVertex, r.pvVert))
 	}
 	return specs
 }
@@ -644,7 +814,7 @@ func localEdge(a, b opSpec, kind dataflow.DepKind) bool {
 // leveled by LevelsBy with the locality predicate and a barrier is placed
 // after each level; scope boundaries always get a barrier; the final
 // schedule entry drops its barrier because the region join provides it.
-func (r *PlanRunner) compile(scopes [][]opSpec) (*plan, error) {
+func (r *CompiledRunner[F]) compile(scopes [][]opSpec) (*plan, error) {
 	p := &plan{s: r.s}
 	for _, scope := range scopes {
 		if len(scope) == 0 {
@@ -774,7 +944,7 @@ func coverageErr(specs []opSpec, order []int, barrierAfter []bool) error {
 // property the locality predicate relies on. Boundaries are rounded up to
 // multiples of 8 elements (one cache line of float64), so adjacent workers
 // never write the same line.
-func (r *PlanRunner) ranges(n int) [][2]int32 {
+func (r *CompiledRunner[F]) ranges(n int) [][2]int32 {
 	if rs, ok := r.rangeCache[n]; ok {
 		return rs
 	}

@@ -1,10 +1,11 @@
 package sw
 
-// This file holds the compiled kernel variants the execution plan (plan.go)
-// dispatches instead of the generic range kernels in kernels.go. Each variant
-// is bitwise-identical to its original: the floating-point expression tree is
-// unchanged (same literals, same left-to-right association), only the
-// surrounding scaffolding differs —
+// This file holds the compiled kernels the execution plan (plan.go)
+// dispatches instead of the range kernels in kernels.go: ONE arithmetic body
+// per op, instantiated at float64 (the reference plan, bitwise identical to
+// kernels.go) and at float32 (the fast mode). Each body keeps the original
+// floating-point expression tree — same literals, same left-to-right
+// association — only the surrounding scaffolding differs:
 //
 //   - gathers run over the mesh's CSR image (mesh.PackCSR): row-pointer
 //     spans into stride-1 int32 column arrays, in the identical j-order as
@@ -13,12 +14,14 @@ package sw
 //     the compiler cannot eliminate bounds checks on data-dependent gather
 //     subscripts, so they are removed by construction instead, with safety
 //     established by CSR pack-time index validation plus the array-shape
-//     assertions at plan compile time (plan.go checkShapes);
+//     assertions at plan compile time (plan.go checkSolverShapes);
 //   - products of per-slot mesh constants (edge sign × edge length) are
 //     hoisted into weight tables packed by the same row pointers (built in
-//     plan.go buildWeights, which may use ordinary checked indexing);
-//   - the current state is bound at compile time instead of read through
-//     s.cur, because the plan never retargets mid-step,
+//     plan.go bind, which may use ordinary checked indexing);
+//   - every array comes from the runner's working set (plan.go bind): at
+//     float64 the solver's own arrays, at float32 the runner's rounded
+//     copies; scalar coefficients are held by the solver in float64 and
+//     converted to F once, at compile time;
 //   - the RK substep/accumulate updates (X2..X5) are fused into the tendency
 //     loops where the data flow proves the combined loop races with nothing.
 //
@@ -33,38 +36,47 @@ package sw
 // stay as real calls — turning every load in the hot loops into a function
 // call (~4x per-kernel slowdown, observed). Keeping the constructors out of
 // line makes their closures compile through the normal path, where at/set
-// inline to single load/store instructions.
+// inline to single load/store instructions. bce_test.go also fails if a
+// closure of either instantiation contains a CALL.
 //
-// Equivalence is pinned by TestPlanBitwise across the configuration space.
+// The views are built at the top of each closure, not captured from the
+// constructor. Every inlined view access in a generic body loads its
+// sub-dictionary from the closure's dictionary, and the dead load leaves a
+// nil check behind — once per loop iteration when the first access sits in
+// the loop. Building the views at closure entry puts that check in front of
+// the loops, where it dominates and removes all the others.
+//
+// Equivalence is pinned by TestPlanBitwise across the configuration space
+// (float64) and by internal/conform's fast32 band (float32).
 
 // mkTendH compiles the fused thickness-tendency op for one RK stage:
 // A1 (flux divergence), X4 (accumulate), and at stage 0 additionally X2 (the
 // provisional update, legal there because stage 0 reads the accepted state)
-// or at stage 3 the commit into State.H. The stage-0 form also absorbs the
-// next.CopyFrom(State) initialization: hn = h0 + b*t instead of copy-then-add.
+// or at stage 3 the commit into the accepted h. The stage-0 form also
+// absorbs the next.CopyFrom(State) initialization: hn = h0 + b*t instead of
+// copy-then-add.
 //
 //go:noinline
-func (r *PlanRunner) mkTendH(stage int) func(lo, hi int) {
-	s := r.s
-	a, b := s.rkA[stage&3], s.rkB[stage&3]
-	st := s.Provis
+func (r *CompiledRunner[F]) mkTendH(stage int) func(lo, hi int) {
+	a, b := F(r.s.rkA[stage&3]), F(r.s.rkB[stage&3])
+	us := r.uP
 	if stage == 0 {
-		st = s.State
+		us = r.u0
 	}
-	cp := vi32(r.csr.CellPtr)
-	ce := vi32(r.csr.CellEdges)
-	w := vf64(r.wA1)
-	area := vf64(s.M.AreaCell)
 	return func(lo, hi int) {
-		u := vf64(st.U)
-		he := vf64(s.Diag.HEdge)
-		th := vf64(s.Tend.H)
-		hn := vf64(s.next.H)
-		h0 := vf64(s.State.H)
-		hp := vf64(s.Provis.H)
+		cp := vw(r.csr.CellPtr)
+		ce := vw(r.csr.CellEdges)
+		w := vw(r.wA1)
+		area := vw(r.areaCell)
+		u := vw(us)
+		he := vw(r.hEdge)
+		th := vw(r.tendH)
+		hn := vw(r.hN)
+		h0 := vw(r.h0)
+		hp := vw(r.hP)
 		for c := lo; c < hi; c++ {
 			ps, pe := int(cp.at(c)), int(cp.at(c+1))
-			acc := 0.0
+			var acc F
 			for j := ps; j < pe; j++ {
 				e := int(ce.at(j))
 				acc += w.at(j) * he.at(e) * u.at(e)
@@ -87,44 +99,43 @@ func (r *PlanRunner) mkTendH(stage int) func(lo, hi int) {
 // mkTendU compiles the fused momentum-tendency op for one RK stage: B1 (or
 // its advection-only zeroing), the optional viscosity and Rayleigh-friction
 // passes (X1), X5 (accumulate), and at stage 0 additionally X3 or at stage 3
-// the commit into State.U. Sub-passes run in the original pattern order over
-// the worker's own range, so fusion changes no result.
+// the commit into the accepted u. Sub-passes run in the original pattern
+// order over the worker's own range, so fusion changes no result.
 //
 //go:noinline
-func (r *PlanRunner) mkTendU(stage int) func(lo, hi int) {
-	s := r.s
-	m := s.M
-	cfg := s.Cfg
-	g := cfg.Gravity
-	a, bw := s.rkA[stage&3], s.rkB[stage&3]
-	st := s.Provis
+func (r *CompiledRunner[F]) mkTendU(stage int) func(lo, hi int) {
+	cfg := r.cfg
+	g := F(cfg.Gravity)
+	nu := F(cfg.Viscosity)
+	rf := F(cfg.RayleighFriction)
+	advOnly := cfg.AdvectionOnly
+	a, bw := F(r.s.rkA[stage&3]), F(r.s.rkB[stage&3])
+	us, hs := r.uP, r.hP
 	if stage == 0 {
-		st = s.State
+		us, hs = r.u0, r.h0
 	}
-	ep := vi32(r.csr.EdgePtr)
-	eoe := vi32(r.csr.EdgeEdges)
-	wts := vf64(r.csr.EdgeWeights)
-	coe := vi32(m.CellsOnEdge)
-	voe := vi32(m.VerticesOnEdge)
-	dc := vf64(m.DcEdge)
-	dv := vf64(m.DvEdge)
 	return func(lo, hi int) {
-		u := vf64(st.U)
-		tu := vf64(s.Tend.U)
-		if cfg.AdvectionOnly {
+		u := vw(us)
+		tu := vw(r.tendU)
+		if advOnly {
 			for e := lo; e < hi; e++ {
 				tu.set(e, 0)
 			}
 		} else {
-			h := vf64(st.H)
-			he := vf64(s.Diag.HEdge)
-			ke := vf64(s.Diag.KE)
-			pve := vf64(s.Diag.PVEdge)
-			b := vf64(s.B)
+			ep := vw(r.csr.EdgePtr)
+			eoe := vw(r.csr.EdgeEdges)
+			wts := vw(r.wEdge)
+			coe := vw(r.s.M.CellsOnEdge)
+			dc := vw(r.dcEdge)
+			h := vw(hs)
+			he := vw(r.hEdge)
+			ke := vw(r.ke)
+			pve := vw(r.pvEdge)
+			b := vw(r.b)
 			for e := lo; e < hi; e++ {
 				ps, pend := int(ep.at(e)), int(ep.at(e+1))
 				pe := pve.at(e)
-				q := 0.0
+				var q F
 				for j := ps; j < pend; j++ {
 					k := int(eoe.at(j))
 					workPV := 0.5 * (pe + pve.at(k))
@@ -135,9 +146,11 @@ func (r *PlanRunner) mkTendU(stage int) func(lo, hi int) {
 				grad := (ke.at(c2) - ke.at(c1) + g*(h.at(c2)+b.at(c2)-h.at(c1)-b.at(c1))) / dc.at(e)
 				tu.set(e, q-grad)
 			}
-			if nu := cfg.Viscosity; nu != 0 {
-				div := vf64(s.Diag.Divergence)
-				vort := vf64(s.Diag.Vorticity)
+			if nu != 0 {
+				voe := vw(r.s.M.VerticesOnEdge)
+				dv := vw(r.dvEdge)
+				div := vw(r.div)
+				vort := vw(r.vort)
 				for e := lo; e < hi; e++ {
 					c1 := int(coe.at(2 * e))
 					c2 := int(coe.at(2*e + 1))
@@ -147,25 +160,25 @@ func (r *PlanRunner) mkTendU(stage int) func(lo, hi int) {
 				}
 			}
 		}
-		if rf := cfg.RayleighFriction; rf != 0 {
+		if rf != 0 {
 			for e := lo; e < hi; e++ {
 				tu.set(e, tu.at(e)-rf*u.at(e))
 			}
 		}
-		un := vf64(s.next.U)
+		un := vw(r.uN)
 		switch stage {
 		case 0:
-			u0 := vf64(s.State.U)
-			up := vf64(s.Provis.U)
+			u0 := vw(r.u0)
+			up := vw(r.uP)
 			for e := lo; e < hi; e++ {
 				t := tu.at(e)
 				un.set(e, u0.at(e)+bw*t)
 				up.set(e, u0.at(e)+a*t)
 			}
 		case 3:
-			uo := vf64(s.State.U)
+			u0 := vw(r.u0)
 			for e := lo; e < hi; e++ {
-				uo.set(e, un.at(e)+bw*tu.at(e))
+				u0.set(e, un.at(e)+bw*tu.at(e))
 			}
 		default:
 			for e := lo; e < hi; e++ {
@@ -180,13 +193,12 @@ func (r *PlanRunner) mkTendU(stage int) func(lo, hi int) {
 // they bind the RK coefficient at compile time instead of reading s.stage.
 //
 //go:noinline
-func (r *PlanRunner) mkX2(stage int) func(lo, hi int) {
-	s := r.s
-	a := s.rkA[stage&3]
+func (r *CompiledRunner[F]) mkX2(stage int) func(lo, hi int) {
+	a := F(r.s.rkA[stage&3])
 	return func(lo, hi int) {
-		h0 := vf64(s.State.H)
-		th := vf64(s.Tend.H)
-		hp := vf64(s.Provis.H)
+		h0 := vw(r.h0)
+		th := vw(r.tendH)
+		hp := vw(r.hP)
 		for c := lo; c < hi; c++ {
 			hp.set(c, h0.at(c)+a*th.at(c))
 		}
@@ -194,54 +206,50 @@ func (r *PlanRunner) mkX2(stage int) func(lo, hi int) {
 }
 
 //go:noinline
-func (r *PlanRunner) mkX3(stage int) func(lo, hi int) {
-	s := r.s
-	a := s.rkA[stage&3]
+func (r *CompiledRunner[F]) mkX3(stage int) func(lo, hi int) {
+	a := F(r.s.rkA[stage&3])
 	return func(lo, hi int) {
-		u0 := vf64(s.State.U)
-		tu := vf64(s.Tend.U)
-		up := vf64(s.Provis.U)
+		u0 := vw(r.u0)
+		tu := vw(r.tendU)
+		up := vw(r.uP)
 		for e := lo; e < hi; e++ {
 			up.set(e, u0.at(e)+a*tu.at(e))
 		}
 	}
 }
 
-// --- compiled compute_solve_diagnostics variants -----------------------------
-// Each binds the state the stage reads (Provis for stages 0..2, State for
-// stage 3) at compile time; kernels that read only diagnostics reuse the
-// originals from kernels.go.
+// --- compiled compute_solve_diagnostics ---------------------------------------
+// Each takes the state arrays the stage reads (the provisional state for
+// stages 0..2, the accepted state at stage 3 and at the float32 step entry).
 
 //go:noinline
-func (r *PlanRunner) cC1(st *State) func(lo, hi int) {
-	s := r.s
-	cp := vi32(r.csr.CellPtr)
-	ce := vi32(r.csr.CellEdges)
-	cc := vi32(r.csr.CellCells)
-	dc := vf64(s.M.DcEdge)
+func (r *CompiledRunner[F]) cC1(hs []F) func(lo, hi int) {
 	return func(lo, hi int) {
-		h := vf64(st.H)
-		d2 := vf64(s.Diag.D2fdx2Cell)
+		cp := vw(r.csr.CellPtr)
+		ce := vw(r.csr.CellEdges)
+		cc := vw(r.csr.CellCells)
+		dc := vw(r.dcEdge)
+		h := vw(hs)
+		d2 := vw(r.d2)
 		for c := lo; c < hi; c++ {
 			ps, pe := int(cp.at(c)), int(cp.at(c+1))
-			acc := 0.0
+			var acc F
 			for j := ps; j < pe; j++ {
 				nb := int(cc.at(j))
 				d := dc.at(int(ce.at(j)))
 				acc += 2 * (h.at(nb) - h.at(c)) / (d * d)
 			}
-			d2.set(c, acc/float64(pe-ps))
+			d2.set(c, acc/F(pe-ps))
 		}
 	}
 }
 
 //go:noinline
-func (r *PlanRunner) cD1(st *State) func(lo, hi int) {
-	s := r.s
-	coe := vi32(s.M.CellsOnEdge)
+func (r *CompiledRunner[F]) cD1(hs []F) func(lo, hi int) {
 	return func(lo, hi int) {
-		h := vf64(st.H)
-		he := vf64(s.Diag.HEdge)
+		coe := vw(r.s.M.CellsOnEdge)
+		h := vw(hs)
+		he := vw(r.hEdge)
 		for e := lo; e < hi; e++ {
 			c1 := int(coe.at(2 * e))
 			c2 := int(coe.at(2*e + 1))
@@ -251,14 +259,13 @@ func (r *PlanRunner) cD1(st *State) func(lo, hi int) {
 }
 
 //go:noinline
-func (r *PlanRunner) cD2(st *State) func(lo, hi int) {
-	s := r.s
-	coe := vi32(s.M.CellsOnEdge)
-	dcv := vf64(s.M.DcEdge)
+func (r *CompiledRunner[F]) cD2(hs []F) func(lo, hi int) {
 	return func(lo, hi int) {
-		h := vf64(st.H)
-		d2 := vf64(s.Diag.D2fdx2Cell)
-		he := vf64(s.Diag.HEdge)
+		coe := vw(r.s.M.CellsOnEdge)
+		dcv := vw(r.dcEdge)
+		h := vw(hs)
+		d2 := vw(r.d2)
+		he := vw(r.hEdge)
 		for e := lo; e < hi; e++ {
 			c1 := int(coe.at(2 * e))
 			c2 := int(coe.at(2*e + 1))
@@ -269,17 +276,16 @@ func (r *PlanRunner) cD2(st *State) func(lo, hi int) {
 }
 
 //go:noinline
-func (r *PlanRunner) cE(st *State) func(lo, hi int) {
-	s := r.s
-	w := vf64(r.wE)
-	eov := vi32(s.M.EdgesOnVertex)
-	at := vf64(s.M.AreaTriangle)
+func (r *CompiledRunner[F]) cE(us []F) func(lo, hi int) {
 	return func(lo, hi int) {
-		u := vf64(st.U)
-		vort := vf64(s.Diag.Vorticity)
+		w := vw(r.wE)
+		eov := vw(r.s.M.EdgesOnVertex)
+		at := vw(r.areaTri)
+		u := vw(us)
+		vort := vw(r.vort)
 		for v := lo; v < hi; v++ {
 			base := v * 3 // mesh.VertexDegree
-			circ := 0.0
+			var circ F
 			for j := base; j < base+3; j++ {
 				circ += w.at(j) * u.at(int(eov.at(j)))
 			}
@@ -289,18 +295,17 @@ func (r *PlanRunner) cE(st *State) func(lo, hi int) {
 }
 
 //go:noinline
-func (r *PlanRunner) cA2(st *State) func(lo, hi int) {
-	s := r.s
-	cp := vi32(r.csr.CellPtr)
-	ce := vi32(r.csr.CellEdges)
-	w := vf64(r.wA1)
-	area := vf64(s.M.AreaCell)
+func (r *CompiledRunner[F]) cA2(us []F) func(lo, hi int) {
 	return func(lo, hi int) {
-		u := vf64(st.U)
-		div := vf64(s.Diag.Divergence)
+		cp := vw(r.csr.CellPtr)
+		ce := vw(r.csr.CellEdges)
+		w := vw(r.wA1)
+		area := vw(r.areaCell)
+		u := vw(us)
+		div := vw(r.div)
 		for c := lo; c < hi; c++ {
 			ps, pe := int(cp.at(c)), int(cp.at(c+1))
-			acc := 0.0
+			var acc F
 			for j := ps; j < pe; j++ {
 				acc += w.at(j) * u.at(int(ce.at(j)))
 			}
@@ -310,18 +315,17 @@ func (r *PlanRunner) cA2(st *State) func(lo, hi int) {
 }
 
 //go:noinline
-func (r *PlanRunner) cA3(st *State) func(lo, hi int) {
-	s := r.s
-	cp := vi32(r.csr.CellPtr)
-	ce := vi32(r.csr.CellEdges)
-	w := vf64(r.wA3)
-	area := vf64(s.M.AreaCell)
+func (r *CompiledRunner[F]) cA3(us []F) func(lo, hi int) {
 	return func(lo, hi int) {
-		u := vf64(st.U)
-		ke := vf64(s.Diag.KE)
+		cp := vw(r.csr.CellPtr)
+		ce := vw(r.csr.CellEdges)
+		w := vw(r.wA3)
+		area := vw(r.areaCell)
+		u := vw(us)
+		ke := vw(r.ke)
 		for c := lo; c < hi; c++ {
 			ps, pe := int(cp.at(c)), int(cp.at(c+1))
-			acc := 0.0
+			var acc F
 			for j := ps; j < pe; j++ {
 				ue := u.at(int(ce.at(j)))
 				acc += w.at(j) * ue * ue
@@ -332,17 +336,16 @@ func (r *PlanRunner) cA3(st *State) func(lo, hi int) {
 }
 
 //go:noinline
-func (r *PlanRunner) cF(st *State) func(lo, hi int) {
-	s := r.s
-	ep := vi32(r.csr.EdgePtr)
-	eoe := vi32(r.csr.EdgeEdges)
-	wts := vf64(r.csr.EdgeWeights)
+func (r *CompiledRunner[F]) cF(us []F) func(lo, hi int) {
 	return func(lo, hi int) {
-		u := vf64(st.U)
-		v := vf64(s.Diag.V)
+		ep := vw(r.csr.EdgePtr)
+		eoe := vw(r.csr.EdgeEdges)
+		wts := vw(r.wEdge)
+		u := vw(us)
+		v := vw(r.v)
 		for e := lo; e < hi; e++ {
 			ps, pe := int(ep.at(e)), int(ep.at(e+1))
-			acc := 0.0
+			var acc F
 			for j := ps; j < pe; j++ {
 				acc += wts.at(j) * u.at(int(eoe.at(j)))
 			}
@@ -352,20 +355,19 @@ func (r *PlanRunner) cF(st *State) func(lo, hi int) {
 }
 
 //go:noinline
-func (r *PlanRunner) cG(st *State) func(lo, hi int) {
-	s := r.s
-	kv := vf64(s.M.KiteAreasOnVertex)
-	cv := vi32(s.M.CellsOnVertex)
-	at := vf64(s.M.AreaTriangle)
-	fv := vf64(s.M.FVertex)
+func (r *CompiledRunner[F]) cG(hs []F) func(lo, hi int) {
 	return func(lo, hi int) {
-		h := vf64(st.H)
-		hvd := vf64(s.Diag.HVertex)
-		pv := vf64(s.Diag.PVVertex)
-		vort := vf64(s.Diag.Vorticity)
+		kv := vw(r.kite)
+		cv := vw(r.s.M.CellsOnVertex)
+		at := vw(r.areaTri)
+		fv := vw(r.fVertex)
+		h := vw(hs)
+		hvd := vw(r.hVert)
+		pv := vw(r.pvVert)
+		vort := vw(r.vort)
 		for v := lo; v < hi; v++ {
 			base := v * 3 // mesh.VertexDegree
-			acc := 0.0
+			var acc F
 			for j := base; j < base+3; j++ {
 				acc += kv.at(j) * h.at(int(cv.at(j)))
 			}
@@ -377,17 +379,16 @@ func (r *PlanRunner) cG(st *State) func(lo, hi int) {
 }
 
 //go:noinline
-func (r *PlanRunner) cC2() func(lo, hi int) {
-	s := r.s
-	cp := vi32(r.csr.CellPtr)
-	cvt := vi32(r.csr.CellVerts)
-	w := vf64(r.wKite)
+func (r *CompiledRunner[F]) cC2() func(lo, hi int) {
 	return func(lo, hi int) {
-		pvc := vf64(s.Diag.PVCell)
-		pvv := vf64(s.Diag.PVVertex)
+		cp := vw(r.csr.CellPtr)
+		cvt := vw(r.csr.CellVerts)
+		w := vw(r.wKite)
+		pvc := vw(r.pvCell)
+		pvv := vw(r.pvVert)
 		for c := lo; c < hi; c++ {
 			ps, pe := int(cp.at(c)), int(cp.at(c+1))
-			acc := 0.0
+			var acc F
 			for j := ps; j < pe; j++ {
 				acc += w.at(j) * pvv.at(int(cvt.at(j)))
 			}
@@ -401,12 +402,11 @@ func (r *PlanRunner) cC2() func(lo, hi int) {
 // compiled form exists because H1 runs every stage on the hot path.
 //
 //go:noinline
-func (r *PlanRunner) cH1() func(lo, hi int) {
-	s := r.s
-	voe := vi32(s.M.VerticesOnEdge)
+func (r *CompiledRunner[F]) cH1() func(lo, hi int) {
 	return func(lo, hi int) {
-		pve := vf64(s.Diag.PVEdge)
-		pvv := vf64(s.Diag.PVVertex)
+		voe := vw(r.s.M.VerticesOnEdge)
+		pve := vw(r.pvEdge)
+		pvv := vw(r.pvVert)
 		for e := lo; e < hi; e++ {
 			v1 := int(voe.at(2 * e))
 			v2 := int(voe.at(2*e + 1))
@@ -416,19 +416,18 @@ func (r *PlanRunner) cH1() func(lo, hi int) {
 }
 
 //go:noinline
-func (r *PlanRunner) cB2(st *State) func(lo, hi int) {
-	s := r.s
-	coef := s.Cfg.APVM * s.Cfg.Dt
-	voe := vi32(s.M.VerticesOnEdge)
-	coe := vi32(s.M.CellsOnEdge)
-	dc := vf64(s.M.DcEdge)
-	dv := vf64(s.M.DvEdge)
+func (r *CompiledRunner[F]) cB2(us []F) func(lo, hi int) {
+	coef := F(r.cfg.APVM * r.cfg.Dt)
 	return func(lo, hi int) {
-		pve := vf64(s.Diag.PVEdge)
-		pvv := vf64(s.Diag.PVVertex)
-		pvc := vf64(s.Diag.PVCell)
-		u := vf64(st.U)
-		v := vf64(s.Diag.V)
+		voe := vw(r.s.M.VerticesOnEdge)
+		coe := vw(r.s.M.CellsOnEdge)
+		dc := vw(r.dcEdge)
+		dv := vw(r.dvEdge)
+		pve := vw(r.pvEdge)
+		pvv := vw(r.pvVert)
+		pvc := vw(r.pvCell)
+		u := vw(us)
+		v := vw(r.v)
 		for e := lo; e < hi; e++ {
 			v1 := int(voe.at(2 * e))
 			v2 := int(voe.at(2*e + 1))
@@ -437,6 +436,39 @@ func (r *PlanRunner) cB2(st *State) func(lo, hi int) {
 			gradPVt := (pvv.at(v2) - pvv.at(v1)) / dv.at(e)
 			gradPVn := (pvc.at(c2) - pvc.at(c1)) / dc.at(e)
 			pve.set(e, pve.at(e)-coef*(v.at(e)*gradPVt+u.at(e)*gradPVn))
+		}
+	}
+}
+
+// --- float32 step entry and exit ----------------------------------------------
+// A float32 plan owns its working set, so its program starts by loading the
+// accepted state (and the bottom topography) from the solver's float64
+// arrays and ends by storing the accepted state and the invariant
+// diagnostics back. The float64 -> F load rounds once; the F -> float64
+// store is exact.
+
+// load converts src into dst over [lo,hi).
+//
+//go:noinline
+func load[F Float](dst []F, src []float64) func(lo, hi int) {
+	return func(lo, hi int) {
+		d := vw(dst)
+		s := vw(src)
+		for i := lo; i < hi; i++ {
+			d.set(i, F(s.at(i)))
+		}
+	}
+}
+
+// store widens src into dst over [lo,hi).
+//
+//go:noinline
+func store[F Float](dst []float64, src []F) func(lo, hi int) {
+	return func(lo, hi int) {
+		d := vw(dst)
+		s := vw(src)
+		for i := lo; i < hi; i++ {
+			d.set(i, float64(s.at(i)))
 		}
 	}
 }

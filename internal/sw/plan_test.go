@@ -267,16 +267,27 @@ func TestPlanScheduleShape(t *testing.T) {
 }
 
 // TestPlanStepAllocFree pins the allocation-free dispatch guarantee for the
-// whole compiled step.
+// whole compiled step, at float64 and float32.
 func TestPlanStepAllocFree(t *testing.T) {
 	m := planTestMesh(t, 3)
-	for _, nw := range []int{1, 4} {
-		pool := par.NewPool(nw)
-		defer pool.Close()
-		s := planTestSolver(t, m, DefaultConfig(m), 5)
-		s.Runner = MustNewPlanRunner(s, pool)
-		if a := testing.AllocsPerRun(10, func() { s.Step() }); a != 0 {
-			t.Errorf("nw=%d: plan step allocates %.1f objects, want 0", nw, a)
+	compilers := map[string]func(*Solver, *par.Pool) (Runner, error){
+		"plan":            func(s *Solver, p *par.Pool) (Runner, error) { return NewPlanRunner(s, p) },
+		"fast32":          func(s *Solver, p *par.Pool) (Runner, error) { return NewFast32Runner(s, p) },
+		"fast32-taskplan": func(s *Solver, p *par.Pool) (Runner, error) { return NewFast32TaskPlanRunner(s, p) },
+	}
+	for name, compile := range compilers {
+		for _, nw := range []int{1, 4} {
+			pool := par.NewPool(nw)
+			defer pool.Close()
+			s := planTestSolver(t, m, DefaultConfig(m), 5)
+			r, err := compile(s, pool)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Runner = r
+			if a := testing.AllocsPerRun(10, func() { s.Step() }); a != 0 {
+				t.Errorf("%s nw=%d: step allocates %.1f objects, want 0", name, nw, a)
+			}
 		}
 	}
 }

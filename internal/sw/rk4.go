@@ -21,25 +21,13 @@ func (s *Solver) Init() {
 }
 
 // Step advances the model by one RK-4 time step (Algorithm 1). When a
-// PlanRunner compiled for this solver and this configuration is attached and
-// no tracers are registered, the step executes through its compiled schedule
-// — one parallel region for the whole step — instead of the kernel-by-kernel
-// loop below (tracer advection is not part of the compiled program, and a
-// Cfg mutated after compilation would invalidate the plan's specialization).
+// compiled runner (CompiledRunner, either precision) built for this solver
+// and this configuration is attached and no tracers are registered, the step
+// executes through its compiled schedule — one parallel region or task graph
+// for the whole step — instead of the kernel-by-kernel loop below (see
+// CompiledRunner.tryStep for the exact conditions).
 func (s *Solver) Step() {
-	// (An overlap-scheduled plan additionally requires no PostSubstep hook:
-	// its hook slots were compiled into Post/Wait exchange ops, so a hook
-	// would be silently skipped — fall back to the blocking kernel loop.)
-	if pr, ok := s.Runner.(*PlanRunner); ok && pr.s == s && pr.cfg == s.Cfg && len(s.Tracers) == 0 &&
-		(pr.ov == nil || s.PostSubstep == nil) {
-		pr.step()
-		return
-	}
-	// The float32 fast mode additionally requires no PostSubstep hook: its
-	// intermediate states live in float32 arrays the hook could not see.
-	if fr, ok := s.Runner.(*Fast32Runner); ok && fr.s == s && fr.cfg == s.Cfg &&
-		len(s.Tracers) == 0 && s.PostSubstep == nil {
-		fr.step()
+	if st, ok := s.Runner.(stepper); ok && st.tryStep(s) {
 		return
 	}
 	step := s.Trace.StartSpan("rk4_step")

@@ -485,7 +485,11 @@ func BenchmarkStepFast32(b *testing.B) {
 		defer pool.Close()
 		s, _ := sw.NewSolver(m, sw.DefaultConfig(m))
 		testcases.SetupTC5(s)
-		s.Runner = sw.MustNewFast32Runner(s, pool)
+		r, err := sw.NewFast32Runner(s, pool)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s.Runner = r
 		b.Run(map[int]string{3: "642cells", 4: "2562cells", 5: "10242cells"}[level], func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s.Step()

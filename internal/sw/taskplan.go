@@ -119,14 +119,13 @@ func sameRanges(a, b [][2]int32) bool {
 // level-barrier region. Everything else (RunKernel, Init, tracers) behaves
 // exactly as NewPlanRunner's.
 func NewTaskPlanRunner(s *Solver, pool *par.Pool) (*PlanRunner, error) {
-	r, err := NewPlanRunner(s, pool)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.taskify(); err != nil {
-		return nil, err
-	}
-	return r, nil
+	return compileRunner[float64](s, pool, true)
+}
+
+// NewFast32TaskPlanRunner is NewTaskPlanRunner for the float32 plan: the
+// program of NewFast32Runner lowered to a task graph.
+func NewFast32TaskPlanRunner(s *Solver, pool *par.Pool) (*CompiledRunner[float32], error) {
+	return compileRunner[float32](s, pool, true)
 }
 
 // MustNewTaskPlanRunner is NewTaskPlanRunner panicking on error.
@@ -157,7 +156,7 @@ func NewOverlapTaskPlanRunner(s *Solver, pool *par.Pool, ov *Overlap) (*PlanRunn
 // taskify lowers r's compiled step plan into a frozen task graph and
 // verifies it against an independently built dependency graph. Kernel plans
 // keep their (rarely hot) barrier schedules.
-func (r *PlanRunner) taskify() error {
+func (r *CompiledRunner[F]) taskify() error {
 	g, nodes, err := r.buildTaskGraph(r.stepPlan)
 	if err != nil {
 		return fmt.Errorf("sw: task plan: %w", err)
@@ -171,15 +170,15 @@ func (r *PlanRunner) taskify() error {
 
 // TaskGraph returns the compiled task graph, or nil when the runner executes
 // the level-barrier schedule.
-func (r *PlanRunner) TaskGraph() *par.TaskGraph { return r.tasks }
+func (r *CompiledRunner[F]) TaskGraph() *par.TaskGraph { return r.tasks }
 
 // TaskMode reports whether Step() runs the task graph.
-func (r *PlanRunner) TaskMode() bool { return r.tasks != nil }
+func (r *CompiledRunner[F]) TaskMode() bool { return r.tasks != nil }
 
 // InstrumentTasks attaches the task runtime's scheduling telemetry
 // (par_taskplan_* tasks/steals/queue-depth/idle instruments) from reg.
 // No-op on a barrier-mode runner or a nil registry.
-func (r *PlanRunner) InstrumentTasks(reg *telemetry.Registry) {
+func (r *CompiledRunner[F]) InstrumentTasks(reg *telemetry.Registry) {
 	if r.tasks != nil {
 		r.tasks.Instrument(reg, "taskplan")
 	}
@@ -187,7 +186,7 @@ func (r *PlanRunner) InstrumentTasks(reg *telemetry.Registry) {
 
 // buildTaskGraph turns every schedule position of p into tasks and derives
 // the dependency edges with a schedule-order hazard walk.
-func (r *PlanRunner) buildTaskGraph(p *plan) (*par.TaskGraph, []*taskNode, error) {
+func (r *CompiledRunner[F]) buildTaskGraph(p *plan) (*par.TaskGraph, []*taskNode, error) {
 	nw := r.pool.Workers()
 	s := p.s
 	g := par.NewTaskGraph(r.pool)

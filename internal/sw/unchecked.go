@@ -4,18 +4,19 @@ package sw
 
 import "unsafe"
 
-// Unchecked array views for the compiled hot kernels (plan_kernels.go,
-// fast32_kernels.go). The Go compiler cannot eliminate bounds checks on
-// data-dependent gather subscripts (u[EdgesOnCell[j]] and friends), so the
-// compiled kernels read and write through these raw-pointer views instead.
+// Unchecked array views for the compiled hot kernels (plan_kernels.go). The
+// Go compiler cannot eliminate bounds checks on data-dependent gather
+// subscripts (u[EdgesOnCell[j]] and friends), so the compiled kernels read
+// and write through these raw-pointer views instead.
 //
 // Soundness is established OUTSIDE the hot loops, once, by construction:
 //
 //   - every gather index comes from the mesh's CSR image, and
 //     mesh.PackCSR validates every column against its entity count;
-//   - every target array is allocated to its entity count by the solver and
-//     its length is re-asserted against the mesh at plan compile time
-//     (PlanRunner.checkShapes / Fast32Runner construction);
+//   - every target array is allocated to its entity count — by the solver,
+//     or at float32 by the compiled runner from the solver's lengths — and
+//     the solver's lengths are re-asserted against the mesh at plan compile
+//     time (checkSolverShapes);
 //   - loop bounds are the per-worker static ranges, partitions of [0, n).
 //
 // Under the race detector this file is replaced by unchecked_race.go, whose
@@ -23,34 +24,18 @@ import "unsafe"
 // race-instrumented — so `go test -race` still watches the compiled
 // schedules for real data races.
 
-type f64v struct{ p *float64 }
+// elem is the element type of a view: a compiled plan's Float or an int32
+// index.
+type elem interface{ float32 | float64 | int32 }
 
-func vf64(s []float64) f64v { return f64v{unsafe.SliceData(s)} }
+type view[E elem] struct{ p *E }
 
-func (v f64v) at(i int) float64 {
-	return *(*float64)(unsafe.Add(unsafe.Pointer(v.p), uintptr(i)*8))
+func vw[E elem](s []E) view[E] { return view[E]{unsafe.SliceData(s)} }
+
+func (v view[E]) at(i int) E {
+	return *(*E)(unsafe.Add(unsafe.Pointer(v.p), uintptr(i)*unsafe.Sizeof(*v.p)))
 }
 
-func (v f64v) set(i int, x float64) {
-	*(*float64)(unsafe.Add(unsafe.Pointer(v.p), uintptr(i)*8)) = x
-}
-
-type f32v struct{ p *float32 }
-
-func vf32(s []float32) f32v { return f32v{unsafe.SliceData(s)} }
-
-func (v f32v) at(i int) float32 {
-	return *(*float32)(unsafe.Add(unsafe.Pointer(v.p), uintptr(i)*4))
-}
-
-func (v f32v) set(i int, x float32) {
-	*(*float32)(unsafe.Add(unsafe.Pointer(v.p), uintptr(i)*4)) = x
-}
-
-type i32v struct{ p *int32 }
-
-func vi32(s []int32) i32v { return i32v{unsafe.SliceData(s)} }
-
-func (v i32v) at(i int) int32 {
-	return *(*int32)(unsafe.Add(unsafe.Pointer(v.p), uintptr(i)*4))
+func (v view[E]) set(i int, x E) {
+	*(*E)(unsafe.Add(unsafe.Pointer(v.p), uintptr(i)*unsafe.Sizeof(*v.p))) = x
 }

@@ -8,22 +8,11 @@ package sw
 // bounds-check-elimination gate (bce_test.go) builds without -race and so
 // always measures the unchecked variant.
 
-type f64v struct{ s []float64 }
+type elem interface{ float32 | float64 | int32 }
 
-func vf64(s []float64) f64v { return f64v{s} }
+type view[E elem] struct{ s []E }
 
-func (v f64v) at(i int) float64     { return v.s[i] }
-func (v f64v) set(i int, x float64) { v.s[i] = x }
+func vw[E elem](s []E) view[E] { return view[E]{s} }
 
-type f32v struct{ s []float32 }
-
-func vf32(s []float32) f32v { return f32v{s} }
-
-func (v f32v) at(i int) float32     { return v.s[i] }
-func (v f32v) set(i int, x float32) { v.s[i] = x }
-
-type i32v struct{ s []int32 }
-
-func vi32(s []int32) i32v { return i32v{s} }
-
-func (v i32v) at(i int) int32 { return v.s[i] }
+func (v view[E]) at(i int) E     { return v.s[i] }
+func (v view[E]) set(i int, x E) { v.s[i] = x }

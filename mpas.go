@@ -129,13 +129,14 @@ type Options struct {
 	Dt float64
 	// Precision selects the step arithmetic: "" or "float64" for the
 	// reference double-precision path, "float32" for the fast mode — the
-	// whole RK-4 step computed in single precision over CSR-packed SoA
-	// arrays (sw.Fast32Runner), streaming half the bytes per step. The
-	// float64 State remains the source of truth (loaded/stored around each
-	// step), so checkpointing and diagnostics keep working; trajectories
-	// track the float64 run within the relative band documented in
-	// internal/conform (Strategy.RelBand). Host-only modes (Serial,
-	// Threaded, Plan) only.
+	// compiled plan instantiated at float32 (sw.NewFast32Runner; under
+	// TaskPlan its task graph, sw.NewFast32TaskPlanRunner), streaming half
+	// the bytes per step. The float64 State remains the source of truth
+	// (loaded/stored around each step), so checkpointing and diagnostics
+	// keep working; trajectories track the float64 run within the relative
+	// band documented in internal/conform (Strategy.RelBand). Host-only
+	// modes (Serial, Threaded, Plan, TaskPlan) only; all but TaskPlan run
+	// the barrier schedule.
 	Precision string
 	// Mesh reuses an existing mesh instead of building one (Level and
 	// LloydIterations are then ignored).
@@ -262,9 +263,10 @@ func New(opts Options) (*Model, error) {
 		return nil, fmt.Errorf("mpas: unknown test case %d", opts.TestCase)
 	}
 	if opts.Precision == "float32" {
-		// The fast-mode runner, like the plan, specializes on the post-setup
-		// configuration. It replaces whatever host runner the mode installed;
-		// Init and other non-step paths still run float64 through its pool.
+		// The float32 plan, like the float64 one, specializes on the
+		// post-setup configuration. It replaces whatever host runner the mode
+		// installed; Init and other non-step paths still run float64 through
+		// its pool.
 		if mod.pool == nil {
 			w := opts.Workers
 			if opts.Mode == Serial {
@@ -272,7 +274,11 @@ func New(opts Options) (*Model, error) {
 			}
 			mod.pool = par.NewPool(w)
 		}
-		r, err := sw.NewFast32Runner(s, mod.pool)
+		newRunner := sw.NewFast32Runner
+		if opts.Mode == TaskPlan {
+			newRunner = sw.NewFast32TaskPlanRunner
+		}
+		r, err := newRunner(s, mod.pool)
 		if err != nil {
 			mod.pool.Close()
 			return nil, fmt.Errorf("mpas: %w", err)
@@ -324,8 +330,8 @@ func (m *Model) EnableTelemetry(tr *telemetry.Tracer, reg *telemetry.Registry) {
 	if m.pool != nil {
 		m.pool.Instrument(reg, "team")
 	}
-	if pr, ok := m.Solver.Runner.(*sw.PlanRunner); ok {
-		pr.InstrumentTasks(reg)
+	if tr, ok := m.Solver.Runner.(interface{ InstrumentTasks(*telemetry.Registry) }); ok {
+		tr.InstrumentTasks(reg)
 	}
 	if m.exec != nil {
 		m.exec.EnableTelemetry(tr, reg)

@@ -12,13 +12,15 @@ echo "== go build =="
 go build ./...
 
 echo "== bounds-check asm gate (hot kernels) =="
-# The compiled-plan and fast32 kernels must stay bounds-check-free: the test
-# recompiles internal/sw with -d=ssa/check_bce and greps the diagnostics.
-# Run it on its own, without -race, because the unchecked views deliberately
-# fall back to checked slices under the race detector.
+# The compiled-plan kernels (one body per op, instantiated at float64 and at
+# float32 for the fast mode) must stay bounds-check-free and call-free: the
+# test recompiles internal/sw with -d=ssa/check_bce and -S and greps the
+# diagnostics and the listing of both instantiations. Run it on its own,
+# without -race, because the unchecked views deliberately fall back to
+# checked slices under the race detector.
 go test -count=1 -run 'TestHotKernelsBoundsCheckFree' ./internal/sw
 
-echo "== zero-alloc gate (level-7 plan + fast32 step) =="
+echo "== zero-alloc gate (level-7 plan, taskplan, fast32 and fast32 taskplan step) =="
 # Also race-excluded: under -race the kernels run on checked slices and the
 # level-7 build would blow the package test timeout in the coverage run.
 go test -count=1 -run 'TestPlanStepZeroAllocBigMesh' .
@@ -94,10 +96,11 @@ echo "swrank -reorder smoke OK (renumbered hash $reorder_hash matches serial)"
 
 echo "== big-mesh ladder smoke (level 7, 163842 cells, with reorder columns) =="
 # One Table-III rung end to end: serial, compiled-plan, and float32 fast
-# mode on a real 163842-cell mesh, plus the per-rung report plumbing and the
-# SFC-reorder columns (renumbered plan/fast32 + neighbor-distance pair). The
-# full n=6..9 ladder (scripts/bench.sh) is too slow for every CI run; this
-# smoke keeps the harness itself from silently regressing.
+# mode (the plan instantiated at float32) on a real 163842-cell mesh, plus
+# the per-rung report plumbing and the SFC-reorder columns (renumbered
+# plan/fast32 + neighbor-distance pair). The full n=6..9 ladder
+# (scripts/bench.sh) is too slow for every CI run; this smoke keeps the
+# harness itself from silently regressing.
 go run ./cmd/bigmesh -min-level 7 -max-level 7 -steps 2 -check=false -reorder
 
 echo "== benchmark perf gate (newest two BENCH_pr*.json) =="
