@@ -9,13 +9,15 @@
 //	swrank -rank 1 -ranks 4 -addr0 127.0.0.1:7000 ...    # one rank (launcher does this)
 //	swrank -serial -case tc5 -level 5 -steps 10 -hash    # single-process reference
 //
-// Rank 0 computes the partition, distributes the owner map during the TCP
-// rendezvous, and gathers the final fields. -overlap (default) steps
-// through the comm/compute-overlapped compiled plan; -overlap=false steps
-// the same compiled kernels with a blocking exchange at each RK substep
-// boundary, so the pair isolates the scheduling difference. -hash prints a
-// 64-bit FNV-1a of the final global state: the distributed hash must equal
-// the -serial hash bit for bit (scripts/ci.sh checks exactly that).
+// Every rank builds the mesh itself and all ranks build at the same time:
+// rank 0 announces its address first, then builds, computes the partition,
+// distributes the owner map during the TCP rendezvous, and gathers the
+// final fields. -overlap (default) steps through the comm/compute-overlapped
+// compiled plan; -overlap=false steps the same compiled kernels with a
+// blocking exchange at each RK substep boundary, so the pair isolates the
+// scheduling difference. -hash prints a 64-bit FNV-1a of the final global
+// state: the distributed hash must equal the -serial hash bit for bit
+// (scripts/ci.sh checks exactly that).
 package main
 
 import (
@@ -250,32 +252,42 @@ func runRank(o *options) error {
 	})
 	defer watchdog.Stop()
 
-	c, ren, err := buildCase(o)
-	if err != nil {
+	var (
+		c   *conform.Case
+		ren *mesh.Reorder
+	)
+	build := func() (err error) {
+		c, ren, err = buildCase(o)
 		return err
-	}
-	var owner []int32
-	if o.rank == 0 {
-		// On the renumbered mesh the SFC partition's parts are contiguous
-		// index ranges — the locality blocks the kernels walk are exactly
-		// the ownership blocks the exchange ships.
-		var p *partition.Partition
-		if o.reorder {
-			p, err = partition.SFC(c.Mesh, o.ranks)
-		} else {
-			p, err = partition.Bisect(c.Mesh, o.ranks)
-		}
-		if err != nil {
-			return err
-		}
-		owner = p.Owner
 	}
 	cfg := dist.Config{
 		Rank: o.rank, N: o.ranks, Addr0: o.addr0,
 		ListenAddr: o.listen, Timeout: o.timeout,
 	}
+	var owner func() ([]int32, error)
 	if o.rank == 0 {
+		// Rank 0 announces before it builds, so every rank builds its mesh
+		// at the same time; the others' hellos wait on its listener.
 		cfg.Announce = os.Stdout
+		owner = func() ([]int32, error) {
+			if err := build(); err != nil {
+				return nil, err
+			}
+			// On the renumbered mesh the SFC partition's parts are
+			// contiguous index ranges — the locality blocks the kernels
+			// walk are exactly the ownership blocks the exchange ships.
+			partFn := partition.Bisect
+			if o.reorder {
+				partFn = partition.SFC
+			}
+			p, err := partFn(c.Mesh, o.ranks)
+			if err != nil {
+				return nil, err
+			}
+			return p.Owner, nil
+		}
+	} else if err := build(); err != nil {
+		return err
 	}
 	b, err := dist.Connect(cfg, owner)
 	if err != nil {

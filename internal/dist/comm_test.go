@@ -62,11 +62,11 @@ func runWorldBoot(t *testing.T, n int, owner []int32, body func(b *Bootstrap) er
 		go func(rank int) {
 			defer wg.Done()
 			cfg := Config{Rank: rank, N: n, Timeout: 20 * time.Second}
-			var own []int32
+			var own func() ([]int32, error)
 			if rank == 0 {
 				cfg.Addr0 = "127.0.0.1:0"
 				cfg.Announce = addrCh
-				own = owner
+				own = ownerMap(owner)
 			} else {
 				cfg.Addr0 = getAddr()
 			}
@@ -85,6 +85,11 @@ func runWorldBoot(t *testing.T, n int, owner []int32, body func(b *Bootstrap) er
 	for err := range errs {
 		t.Fatal(err)
 	}
+}
+
+// ownerMap is rank 0's owner callback for a precomputed map.
+func ownerMap(owner []int32) func() ([]int32, error) {
+	return func() ([]int32, error) { return owner, nil }
 }
 
 func allPeers(rank, n int) []int {
@@ -207,7 +212,7 @@ func TestDeadPeerNamedWithinTimeout(t *testing.T) {
 	go func() { // rank 0: waits on a message rank 1 never sends
 		defer wg.Done()
 		b, err := Connect(Config{Rank: 0, N: 2, Addr0: "127.0.0.1:0",
-			Announce: addrCh, Timeout: 10 * time.Second}, owner)
+			Announce: addrCh, Timeout: 10 * time.Second}, ownerMap(owner))
 		if err != nil {
 			results <- err
 			return

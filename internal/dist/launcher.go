@@ -57,9 +57,10 @@ func (a *announceSink) Write(p []byte) (int, error) {
 }
 
 // Launch spawns a local N-rank run of the given swrank binary and
-// supervises it. Rank 0 is started first with an ephemeral listen address;
-// its announce line is parsed off stdout to obtain the actual address,
-// which is then passed to ranks 1..N-1.
+// supervises it. Rank 0 gets an ephemeral listen address and announces the
+// bound address on stdout as its first act, before it builds anything; the
+// launcher parses the announce line and starts ranks 1..N-1 with that
+// address at once, so every rank builds its mesh concurrently.
 //
 // Failure policy: the first rank to exit abnormally (non-zero status or
 // killed by a signal) is the culprit; every other rank is killed

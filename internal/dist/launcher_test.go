@@ -43,7 +43,11 @@ func TestFakeRank(t *testing.T) {
 		syscall.Kill(os.Getpid(), syscall.SIGKILL)
 	case mode == "kill1" && rank == 2:
 		os.Exit(1)
-	case mode == "hang":
+	case mode == "leafexit" && rank == 1:
+		os.Exit(4)
+	case mode == "hang", mode == "leafexit":
+		// leafexit: rank 0 (and any other leaf) waits out the rendezvous
+		// for a hello rank 1 never sends.
 		time.Sleep(time.Minute)
 	}
 	os.Exit(0)
@@ -111,6 +115,21 @@ func TestLaunchPrefersSignaledCulprit(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "rank 1") || !strings.Contains(err.Error(), "killed") {
 		t.Fatalf("want signal-killed rank 1 blamed, got: %v", err)
+	}
+}
+
+// A leaf that dies before the rendezvous (its own mesh build failed, say)
+// is named while rank 0 is still waiting for its hello — the launcher does
+// not sit out the rendezvous deadline.
+func TestLaunchNamesLeafFailingBeforeRendezvous(t *testing.T) {
+	const timeout = 30 * time.Second
+	start := time.Now()
+	err := launchSelf(t, "leafexit", 3, timeout, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "rank 1") {
+		t.Fatalf("want error naming rank 1, got: %v", err)
+	}
+	if el := time.Since(start); el > timeout/3 {
+		t.Fatalf("leaf failure took %v to surface (launch timeout %v)", el, timeout)
 	}
 }
 

@@ -43,11 +43,14 @@ type Bootstrap struct {
 }
 
 // Connect performs the rendezvous phase. Rank 0 listens on cfg.Addr0,
-// announces the bound address, accepts a hello from every other rank and
-// replies with the roster (every rank's peer-listener address) plus the
-// partition owner map; other ranks dial rank 0 with retry and backoff.
-// owner must be the global cell->rank map on rank 0 and nil elsewhere.
-func Connect(cfg Config, owner []int32) (*Bootstrap, error) {
+// announces the bound address, and only then calls owner for the global
+// cell->rank map, so the other ranks can start, build and dial while rank 0
+// is still building; their hellos queue on the bound listener. Rank 0 then
+// accepts a hello from every other rank and replies with the roster (every
+// rank's peer-listener address) plus the owner map; other ranks dial rank 0
+// with retry and backoff. owner is required on rank 0 and must be nil
+// elsewhere; an error it returns is returned by Connect.
+func Connect(cfg Config, owner func() ([]int32, error)) (*Bootstrap, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = DefaultTimeout
 	}
@@ -66,8 +69,8 @@ func Connect(cfg Config, owner []int32) (*Bootstrap, error) {
 	return connectLeaf(cfg)
 }
 
-func connectRoot(cfg Config, owner []int32) (*Bootstrap, error) {
-	if owner == nil {
+func connectRoot(cfg Config, ownerFn func() ([]int32, error)) (*Bootstrap, error) {
+	if ownerFn == nil {
 		return nil, fmt.Errorf("dist: rank 0 must provide the owner map")
 	}
 	ln, err := net.Listen("tcp", cfg.Addr0)
@@ -77,6 +80,10 @@ func connectRoot(cfg Config, owner []int32) (*Bootstrap, error) {
 	defer ln.Close()
 	if cfg.Announce != nil {
 		fmt.Fprintf(cfg.Announce, "%s%s\n", AnnouncePrefix, ln.Addr())
+	}
+	owner, err := ownerFn()
+	if err != nil {
+		return nil, fmt.Errorf("dist: rank 0 owner map: %w", err)
 	}
 	c := newComm(0, cfg.N, cfg.Timeout)
 	b := &Bootstrap{Comm: c, Owner: owner, addrs: make([]string, cfg.N)}

@@ -18,7 +18,8 @@ type Options struct {
 	// icosahedron is already quasi-uniform; a few sweeps push the
 	// generators toward the Voronoi centroids (the "C" in SCVT). The cell
 	// connectivity is unchanged by relaxation, which is valid for the small
-	// displacements involved on these meshes.
+	// displacements involved on these meshes. A sweep reads only positions:
+	// lengths and areas are computed once, after the last sweep.
 	LloydIterations int
 	// Density, when non-nil, makes the Lloyd sweeps density-weighted,
 	// producing a VARIABLE-RESOLUTION SCVT: cell spacing scales as
@@ -70,28 +71,33 @@ func FromTriangulation(tri *icosa.Triangulation, opt Options) (*Mesh, error) {
 	}
 
 	// --- Edge extraction from triangle sides -----------------------------
+	// Edges are numbered in first-encounter order over the triangle sides.
 	type edgeRec struct {
 		t1, t2 int32 // adjacent triangles (vertices); t2 = -1 until found
 	}
-	edgeIndex := make(map[[2]int32]int32, len(tri.Triangles)*3/2)
+	nodes := newEdgeTable(len(tri.Nodes))
 	var edges []edgeRec
 	var edgeCells [][2]int32
 	for ti, t := range tri.Triangles {
 		for k := 0; k < 3; k++ {
 			a, b := t[k], t[(k+1)%3]
-			key := [2]int32{a, b}
 			if a > b {
-				key = [2]int32{b, a}
+				a, b = b, a
 			}
-			if ei, ok := edgeIndex[key]; ok {
+			if a < 0 || int(b) >= len(tri.Nodes) || a == b {
+				return nil, fmt.Errorf("mesh: triangle %d has invalid side (%d,%d)", ti, t[k], t[(k+1)%3])
+			}
+			if ei := nodes.find(a, b); ei >= 0 {
 				if edges[ei].t2 != -1 {
-					return nil, fmt.Errorf("mesh: edge %v on more than two triangles", key)
+					return nil, fmt.Errorf("mesh: edge %v on more than two triangles", [2]int32{a, b})
 				}
 				edges[ei].t2 = int32(ti)
 			} else {
-				edgeIndex[key] = int32(len(edges))
+				if err := nodes.add(a, b, int32(len(edges))); err != nil {
+					return nil, err
+				}
 				edges = append(edges, edgeRec{t1: int32(ti), t2: -1})
-				edgeCells = append(edgeCells, key)
+				edgeCells = append(edgeCells, [2]int32{a, b})
 			}
 		}
 	}
@@ -121,18 +127,19 @@ func FromTriangulation(tri *icosa.Triangulation, opt Options) (*Mesh, error) {
 	}
 
 	// --- Cell adjacency, counterclockwise ---------------------------------
-	if err := m.buildCellAdjacency(edgeIndex); err != nil {
+	if err := m.buildCellAdjacency(nodes); err != nil {
 		return nil, err
 	}
 
 	// --- Vertex adjacency --------------------------------------------------
-	if err := m.buildVertexAdjacency(tri, edgeIndex); err != nil {
+	if err := m.buildVertexAdjacency(tri, nodes); err != nil {
 		return nil, err
 	}
 
-	m.computeMetrics()
 	m.computeSigns()
 
+	// The sweeps read only positions, so the metrics are computed once,
+	// from the final ones.
 	omega := opt.LloydRelaxation
 	if omega == 0 {
 		omega = 1
@@ -140,11 +147,61 @@ func FromTriangulation(tri *icosa.Triangulation, opt Options) (*Mesh, error) {
 	for it := 0; it < opt.LloydIterations; it++ {
 		m.lloydSweep(opt.Density, omega)
 	}
+	m.computeMetrics()
 
 	m.computeWeightsOnEdge()
 	m.computeEdgeFrames()
 	m.computeLatLon()
 	return m, nil
+}
+
+// edgeTable indexes a triangulation's edges by node: row n lists, in edge
+// number order, the edges incident to node n and the neighbours they lead
+// to. A Voronoi cell has at most MaxEdges sides, so a row has MaxEdges
+// slots.
+type edgeTable struct {
+	deg  []uint8
+	nbr  []int32 // [n*MaxEdges+j]
+	edge []int32 // [n*MaxEdges+j]
+}
+
+func newEdgeTable(nodes int) *edgeTable {
+	return &edgeTable{
+		deg:  make([]uint8, nodes),
+		nbr:  make([]int32, nodes*MaxEdges),
+		edge: make([]int32, nodes*MaxEdges),
+	}
+}
+
+// find returns the edge joining nodes a and b, or -1 if there is none yet.
+func (t *edgeTable) find(a, b int32) int32 {
+	base := int(a) * MaxEdges
+	for j := base; j < base+int(t.deg[a]); j++ {
+		if t.nbr[j] == b {
+			return t.edge[j]
+		}
+	}
+	return -1
+}
+
+// add records edge e between nodes a and b in both rows.
+func (t *edgeTable) add(a, b, e int32) error {
+	for _, ends := range [2][2]int32{{a, b}, {b, a}} {
+		n, nb := ends[0], ends[1]
+		d := int(t.deg[n])
+		if d == MaxEdges {
+			return fmt.Errorf("mesh: node %d has more than %d incident edges", n, MaxEdges)
+		}
+		t.nbr[int(n)*MaxEdges+d] = nb
+		t.edge[int(n)*MaxEdges+d] = e
+		t.deg[n]++
+	}
+	return nil
+}
+
+// edges returns the edges incident to node n, in edge number order.
+func (t *edgeTable) edges(n int) []int32 {
+	return t.edge[n*MaxEdges : n*MaxEdges+int(t.deg[n])]
 }
 
 // orientEdge fills VerticesOnEdge for edge e so that the first->second vertex
@@ -167,17 +224,12 @@ func (m *Mesh) orientEdge(e, t1, t2 int32) {
 
 // buildCellAdjacency fills NEdgesOnCell, EdgesOnCell (CCW), CellsOnCell and
 // VerticesOnCell.
-func (m *Mesh) buildCellAdjacency(edgeIndex map[[2]int32]int32) error {
-	incident := make([][]int32, m.NCells)
-	for e := 0; e < m.NEdges; e++ {
-		c1, c2 := m.CellsOnEdge[2*e], m.CellsOnEdge[2*e+1]
-		incident[c1] = append(incident[c1], int32(e))
-		incident[c2] = append(incident[c2], int32(e))
-	}
+func (m *Mesh) buildCellAdjacency(nodes *edgeTable) error {
+	var buf [MaxEdges]int32
 	for c := 0; c < m.NCells; c++ {
-		es := incident[c]
+		es := buf[:copy(buf[:], nodes.edges(c))]
 		n := len(es)
-		if n < 5 || n > MaxEdges {
+		if n < 5 {
 			return fmt.Errorf("mesh: cell %d has %d edges", c, n)
 		}
 		m.NEdgesOnCell[c] = int32(n)
@@ -209,7 +261,6 @@ func (m *Mesh) buildCellAdjacency(edgeIndex map[[2]int32]int32) error {
 			m.VerticesOnCell[base+j] = v
 		}
 	}
-	_ = edgeIndex
 	return nil
 }
 
@@ -232,7 +283,7 @@ func sharedVertex(m *Mesh, e1, e2 int32) (int32, bool) {
 
 // buildVertexAdjacency fills CellsOnVertex (CCW) and EdgesOnVertex, where
 // EdgesOnVertex[v][j] joins CellsOnVertex[v][j] and CellsOnVertex[v][j+1].
-func (m *Mesh) buildVertexAdjacency(tri *icosa.Triangulation, edgeIndex map[[2]int32]int32) error {
+func (m *Mesh) buildVertexAdjacency(tri *icosa.Triangulation, nodes *edgeTable) error {
 	for v, t := range tri.Triangles {
 		// Triangulation triangles are CCW already.
 		base := v * VertexDegree
@@ -241,12 +292,8 @@ func (m *Mesh) buildVertexAdjacency(tri *icosa.Triangulation, edgeIndex map[[2]i
 		}
 		for j := 0; j < 3; j++ {
 			a, b := t[j], t[(j+1)%3]
-			key := [2]int32{a, b}
-			if a > b {
-				key = [2]int32{b, a}
-			}
-			e, ok := edgeIndex[key]
-			if !ok {
+			e := nodes.find(a, b)
+			if e < 0 {
 				return fmt.Errorf("mesh: vertex %d missing edge (%d,%d)", v, a, b)
 			}
 			m.EdgesOnVertex[base+j] = e
@@ -317,7 +364,7 @@ func (m *Mesh) computeSigns() {
 }
 
 // lloydSweep moves each generator to the (optionally density-weighted)
-// centroid of its Voronoi cell and rebuilds the dependent geometry, keeping
+// centroid of its Voronoi cell and rebuilds the dependent positions, keeping
 // connectivity fixed.
 func (m *Mesh) lloydSweep(density func(geom.Vec3) float64, omega float64) {
 	newX := make([]geom.Vec3, m.NCells)
@@ -339,8 +386,8 @@ func (m *Mesh) lloydSweep(density func(geom.Vec3) float64, omega float64) {
 	m.recomputeDerivedGeometry()
 }
 
-// recomputeDerivedGeometry refreshes vertex and edge positions, metrics and
-// signs after generators move (connectivity unchanged).
+// recomputeDerivedGeometry refreshes vertex and edge positions after
+// generators move (connectivity unchanged).
 func (m *Mesh) recomputeDerivedGeometry() {
 	for v := 0; v < m.NVertices; v++ {
 		cs := m.VertexCells(int32(v))
@@ -350,7 +397,6 @@ func (m *Mesh) recomputeDerivedGeometry() {
 		c1, c2 := m.CellsOnEdge[2*e], m.CellsOnEdge[2*e+1]
 		m.XEdge[e] = m.XCell[c1].Add(m.XCell[c2]).Normalize()
 	}
-	m.computeMetrics()
 }
 
 // computeEdgeFrames fills EdgeNormal, EdgeTangent and AngleEdge.

@@ -26,8 +26,10 @@ type Local struct {
 	CellL2G []int32
 	EdgeL2G []int32
 	VertL2G []int32
-	CellG2L map[int32]int32
-	EdgeG2L map[int32]int32
+	// CellG2L and EdgeG2L are indexed by global cell and edge; -1 marks an
+	// entity that is not local.
+	CellG2L []int32
+	EdgeG2L []int32
 
 	// EdgeOwner[le] is the part owning local edge le (the owner of the
 	// first global cell of the edge).
@@ -74,8 +76,8 @@ func (l *Local) InteriorVertices(t int) int {
 func Extract(g *mesh.Mesh, p *Partition, part, layers int) *Local {
 	l := &Local{
 		Part:    part,
-		CellG2L: map[int32]int32{},
-		EdgeG2L: map[int32]int32{},
+		CellG2L: absent(g.NCells),
+		EdgeG2L: absent(g.NEdges),
 	}
 
 	// --- cells: owned, then halo layers ----------------------------------
@@ -92,13 +94,11 @@ func Extract(g *mesh.Mesh, p *Partition, part, layers int) *Local {
 	// --- edges: every global edge with both cells local ------------------
 	for _, gc := range l.CellL2G {
 		for _, ge := range g.CellEdges(gc) {
-			if _, done := l.EdgeG2L[ge]; done {
+			if l.EdgeG2L[ge] >= 0 {
 				continue
 			}
 			c1, c2 := g.CellsOnEdge[2*ge], g.CellsOnEdge[2*ge+1]
-			_, ok1 := l.CellG2L[c1]
-			_, ok2 := l.CellG2L[c2]
-			if ok1 && ok2 {
+			if l.CellG2L[c1] >= 0 && l.CellG2L[c2] >= 0 {
 				l.EdgeG2L[ge] = int32(len(l.EdgeL2G))
 				l.EdgeL2G = append(l.EdgeL2G, ge)
 			}
@@ -106,11 +106,11 @@ func Extract(g *mesh.Mesh, p *Partition, part, layers int) *Local {
 	}
 
 	// --- vertices: every vertex of a local edge --------------------------
-	vertG2L := map[int32]int32{}
+	vertG2L := absent(g.NVertices)
 	for _, ge := range l.EdgeL2G {
 		for k := int32(0); k < 2; k++ {
 			gv := g.VerticesOnEdge[2*ge+k]
-			if _, done := vertG2L[gv]; !done {
+			if vertG2L[gv] < 0 {
 				vertG2L[gv] = int32(len(l.VertL2G))
 				l.VertL2G = append(l.VertL2G, gv)
 			}
@@ -119,7 +119,7 @@ func Extract(g *mesh.Mesh, p *Partition, part, layers int) *Local {
 
 	// --- halo depths + interior-first ordering ---------------------------
 	l.computeDepths(g, p, vertG2L)
-	vertG2L = l.reorderByDepth(vertG2L)
+	l.reorderByDepth(vertG2L)
 
 	l.M = l.buildLocalMesh(g, vertG2L)
 
@@ -134,12 +134,21 @@ func Extract(g *mesh.Mesh, p *Partition, part, layers int) *Local {
 	return l
 }
 
+// absent returns a global-to-local map of n entities, none of them local.
+func absent(n int) []int32 {
+	m := make([]int32, n)
+	for i := range m {
+		m[i] = -1
+	}
+	return m
+}
+
 // computeDepths runs a multi-source BFS over the union stencil adjacency of
 // all local entities, seeded at the entities the halo exchange overwrites
 // (halo cells, non-owned edges). It walks the GLOBAL adjacency arrays
 // restricted to the local sets — never the clamped local mesh, whose
 // missing-neighbor slots alias entity 0 and would fabricate shortcuts.
-func (l *Local) computeDepths(g *mesh.Mesh, p *Partition, vertG2L map[int32]int32) {
+func (l *Local) computeDepths(g *mesh.Mesh, p *Partition, vertG2L []int32) {
 	nc, ne, nv := len(l.CellL2G), len(l.EdgeL2G), len(l.VertL2G)
 	// One flat id space: cell lc -> lc, edge le -> nc+le, vertex lv -> nc+ne+lv.
 	d := make([]int32, nc+ne+nv)
@@ -169,29 +178,29 @@ func (l *Local) computeDepths(g *mesh.Mesh, p *Partition, vertG2L map[int32]int3
 			gc := l.CellL2G[id]
 			base := int(gc) * mesh.MaxEdges
 			for j := 0; j < int(g.NEdgesOnCell[gc]); j++ {
-				if lcc, ok := l.CellG2L[g.CellsOnCell[base+j]]; ok {
+				if lcc := l.CellG2L[g.CellsOnCell[base+j]]; lcc >= 0 {
 					add(lcc, nd)
 				}
-				if le, ok := l.EdgeG2L[g.EdgesOnCell[base+j]]; ok {
+				if le := l.EdgeG2L[g.EdgesOnCell[base+j]]; le >= 0 {
 					add(int32(nc)+le, nd)
 				}
-				if lv, ok := vertG2L[g.VerticesOnCell[base+j]]; ok {
+				if lv := vertG2L[g.VerticesOnCell[base+j]]; lv >= 0 {
 					add(int32(nc+ne)+lv, nd)
 				}
 			}
 		case id < int32(nc+ne): // edge
 			ge := int(l.EdgeL2G[id-int32(nc)])
 			for k := 0; k < 2; k++ {
-				if lcc, ok := l.CellG2L[g.CellsOnEdge[2*ge+k]]; ok {
+				if lcc := l.CellG2L[g.CellsOnEdge[2*ge+k]]; lcc >= 0 {
 					add(lcc, nd)
 				}
-				if lv, ok := vertG2L[g.VerticesOnEdge[2*ge+k]]; ok {
+				if lv := vertG2L[g.VerticesOnEdge[2*ge+k]]; lv >= 0 {
 					add(int32(nc+ne)+lv, nd)
 				}
 			}
 			base := ge * mesh.MaxEdgesOnEdge
 			for j := 0; j < int(g.NEdgesOnEdge[ge]); j++ {
-				if le2, ok := l.EdgeG2L[g.EdgesOnEdge[base+j]]; ok {
+				if le2 := l.EdgeG2L[g.EdgesOnEdge[base+j]]; le2 >= 0 {
 					add(int32(nc)+le2, nd)
 				}
 			}
@@ -199,10 +208,10 @@ func (l *Local) computeDepths(g *mesh.Mesh, p *Partition, vertG2L map[int32]int3
 			gv := l.VertL2G[id-int32(nc+ne)]
 			base := int(gv) * mesh.VertexDegree
 			for j := 0; j < mesh.VertexDegree; j++ {
-				if lcc, ok := l.CellG2L[g.CellsOnVertex[base+j]]; ok {
+				if lcc := l.CellG2L[g.CellsOnVertex[base+j]]; lcc >= 0 {
 					add(lcc, nd)
 				}
-				if le2, ok := l.EdgeG2L[g.EdgesOnVertex[base+j]]; ok {
+				if le2 := l.EdgeG2L[g.EdgesOnVertex[base+j]]; le2 >= 0 {
 					add(int32(nc)+le2, nd)
 				}
 			}
@@ -215,44 +224,62 @@ func (l *Local) computeDepths(g *mesh.Mesh, p *Partition, vertG2L map[int32]int3
 
 // reorderByDepth stably permutes each entity class to descending halo depth
 // (owned cells keep their [0, NOwnedCells) block; halo cells are all depth 0
-// and stay behind them), rewrites the L2G/G2L maps and depth arrays, and
-// returns the rebuilt vertex map.
-func (l *Local) reorderByDepth(vertG2L map[int32]int32) map[int32]int32 {
-	permute := func(n int, depth []int32, l2g []int32) []int32 {
-		perm := make([]int32, n)
-		for i := range perm {
-			perm[i] = int32(i)
-		}
-		sort.SliceStable(perm, func(i, j int) bool { return depth[perm[i]] > depth[perm[j]] })
-		nd := make([]int32, n)
-		ng := make([]int32, n)
-		for newIdx, oldIdx := range perm {
-			nd[newIdx] = depth[oldIdx]
-			ng[newIdx] = l2g[oldIdx]
-		}
-		copy(depth, nd)
-		copy(l2g, ng)
-		return perm
-	}
+// and stay behind them) and rewrites the L2G/G2L maps, vertG2L included,
+// and the depth arrays.
+func (l *Local) reorderByDepth(vertG2L []int32) {
 	// Cells: only the owned block is permuted (halo cells are all sources).
-	permute(l.NOwnedCells, l.CellDepth[:l.NOwnedCells], l.CellL2G[:l.NOwnedCells])
+	sortByDepth(l.CellDepth[:l.NOwnedCells], l.CellL2G[:l.NOwnedCells])
 	for lc, gc := range l.CellL2G {
 		l.CellG2L[gc] = int32(lc)
 	}
-	permute(len(l.EdgeL2G), l.EdgeDepth, l.EdgeL2G)
+	sortByDepth(l.EdgeDepth, l.EdgeL2G)
 	for le, ge := range l.EdgeL2G {
 		l.EdgeG2L[ge] = int32(le)
 	}
-	permute(len(l.VertL2G), l.VertDepth, l.VertL2G)
-	nvg := make(map[int32]int32, len(l.VertL2G))
+	sortByDepth(l.VertDepth, l.VertL2G)
 	for lv, gv := range l.VertL2G {
-		nvg[gv] = int32(lv)
+		vertG2L[gv] = int32(lv)
 	}
-	return nvg
+}
+
+// sortByDepth stably sorts depth, and l2g alongside it, by descending depth.
+// Depths are BFS distances, at most the entity count, plus DepthUnbounded,
+// so a counting sort over max+2 buckets does it in linear time.
+func sortByDepth(depth, l2g []int32) {
+	maxd := int32(-1)
+	for _, d := range depth {
+		if d != DepthUnbounded && d > maxd {
+			maxd = d
+		}
+	}
+	// Bucket 0 holds DepthUnbounded, bucket 1+maxd-d holds depth d.
+	bucket := func(d int32) int32 {
+		if d == DepthUnbounded {
+			return 0
+		}
+		return 1 + maxd - d
+	}
+	next := make([]int, maxd+3)
+	for _, d := range depth {
+		next[bucket(d)+1]++
+	}
+	for b := 1; b < len(next); b++ {
+		next[b] += next[b-1]
+	}
+	nd := make([]int32, len(depth))
+	ng := make([]int32, len(depth))
+	for i, d := range depth {
+		b := bucket(d)
+		nd[next[b]] = d
+		ng[next[b]] = l2g[i]
+		next[b]++
+	}
+	copy(depth, nd)
+	copy(l2g, ng)
 }
 
 // buildLocalMesh assembles the local mesh arrays from the global mesh.
-func (l *Local) buildLocalMesh(g *mesh.Mesh, vertG2L map[int32]int32) *mesh.Mesh {
+func (l *Local) buildLocalMesh(g *mesh.Mesh, vertG2L []int32) *mesh.Mesh {
 	nc, ne, nv := len(l.CellL2G), len(l.EdgeL2G), len(l.VertL2G)
 	m := mesh.NewEmpty(g.Radius, nc, ne, nv, g.Level)
 
@@ -267,17 +294,17 @@ func (l *Local) buildLocalMesh(g *mesh.Mesh, vertG2L map[int32]int32) *mesh.Mesh
 		for j := 0; j < int(g.NEdgesOnCell[gc]); j++ {
 			// Edges of the cell: clamp missing edges to slot-self with the
 			// convention edge 0 (garbage confined to outer halo).
-			if le, ok := l.EdgeG2L[g.EdgesOnCell[gbase+j]]; ok {
+			if le := l.EdgeG2L[g.EdgesOnCell[gbase+j]]; le >= 0 {
 				m.EdgesOnCell[lbase+j] = le
 			} else {
 				m.EdgesOnCell[lbase+j] = 0
 			}
-			if lcc, ok := l.CellG2L[g.CellsOnCell[gbase+j]]; ok {
+			if lcc := l.CellG2L[g.CellsOnCell[gbase+j]]; lcc >= 0 {
 				m.CellsOnCell[lbase+j] = lcc
 			} else {
 				m.CellsOnCell[lbase+j] = int32(lc)
 			}
-			if lv, ok := vertG2L[g.VerticesOnCell[gbase+j]]; ok {
+			if lv := vertG2L[g.VerticesOnCell[gbase+j]]; lv >= 0 {
 				m.VerticesOnCell[lbase+j] = lv
 			} else {
 				m.VerticesOnCell[lbase+j] = 0
@@ -303,7 +330,7 @@ func (l *Local) buildLocalMesh(g *mesh.Mesh, vertG2L map[int32]int32) *mesh.Mesh
 		lbase := le * mesh.MaxEdgesOnEdge
 		m.NEdgesOnEdge[le] = g.NEdgesOnEdge[ge]
 		for j := 0; j < int(g.NEdgesOnEdge[ge]); j++ {
-			if leoe, ok := l.EdgeG2L[g.EdgesOnEdge[gbase+j]]; ok {
+			if leoe := l.EdgeG2L[g.EdgesOnEdge[gbase+j]]; leoe >= 0 {
 				m.EdgesOnEdge[lbase+j] = leoe
 				m.WeightsOnEdge[lbase+j] = g.WeightsOnEdge[gbase+j]
 			} else {
@@ -321,12 +348,12 @@ func (l *Local) buildLocalMesh(g *mesh.Mesh, vertG2L map[int32]int32) *mesh.Mesh
 		gbase := int(gv) * mesh.VertexDegree
 		lbase := lv * mesh.VertexDegree
 		for j := 0; j < mesh.VertexDegree; j++ {
-			if lc, ok := l.CellG2L[g.CellsOnVertex[gbase+j]]; ok {
+			if lc := l.CellG2L[g.CellsOnVertex[gbase+j]]; lc >= 0 {
 				m.CellsOnVertex[lbase+j] = lc
 			} else {
 				m.CellsOnVertex[lbase+j] = 0
 			}
-			if le, ok := l.EdgeG2L[g.EdgesOnVertex[gbase+j]]; ok {
+			if le := l.EdgeG2L[g.EdgesOnVertex[gbase+j]]; le >= 0 {
 				m.EdgesOnVertex[lbase+j] = le
 			} else {
 				m.EdgesOnVertex[lbase+j] = 0

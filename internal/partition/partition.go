@@ -142,7 +142,7 @@ func (p *Partition) Imbalance() float64 {
 // Halo computes the cells at BFS distance 1..layers from the owned set of
 // one part, layer by layer.
 func (p *Partition) Halo(m *mesh.Mesh, part, layers int) [][]int32 {
-	inSet := map[int32]bool{}
+	inSet := make([]bool, m.NCells)
 	for _, c := range p.Cells[part] {
 		inSet[c] = true
 	}

@@ -69,6 +69,15 @@ dist_hash=$("$smokedir/swrank" -launch 2 -case tc5 -level 3 -steps 2 -hash \
     || { echo "ci.sh: FAIL — 2-process hash '$dist_hash' != serial '$serial_hash'" >&2; exit 1; }
 echo "swrank smoke OK (2-process hash $dist_hash matches serial)"
 
+echo "== swrank 4-process smoke (concurrent start, several leaves) =="
+# All four ranks start at once: the three leaves build, dial rank 0 and
+# queue their hellos while rank 0 is still building its own mesh.
+dist4_hash=$("$smokedir/swrank" -launch 4 -case tc5 -level 3 -steps 2 -hash \
+    | awk '/^swrank hash /{print $3; exit}')
+[ "$dist4_hash" = "$serial_hash" ] \
+    || { echo "ci.sh: FAIL — 4-process hash '$dist4_hash' != serial '$serial_hash'" >&2; exit 1; }
+echo "swrank 4-process smoke OK (hash $dist4_hash matches serial)"
+
 echo "== swrank -taskplan smoke (task-dataflow execution, canonical hash) =="
 # Task-graph execution must be bitwise invisible: the same run driven by
 # dependency-counted tasks instead of level barriers — serially and across 2
