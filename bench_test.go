@@ -175,7 +175,7 @@ func BenchmarkFig8StrongScaling(b *testing.B) {
 }
 
 // BenchmarkFig8RealDistributed times a real multi-rank strong-scaling run
-// (goroutine ranks with real halo exchanges) on a built mesh.
+// (in-process dist ranks, halo exchanges over loopback TCP) on a built mesh.
 func BenchmarkFig8RealDistributed(b *testing.B) {
 	msh := benchMesh(b, 5)
 	for _, ranks := range []int{1, 2, 4, 8} {

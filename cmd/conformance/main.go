@@ -1,7 +1,7 @@
 // Command conformance runs the differential-conformance matrix: every
 // execution strategy (serial/threaded branch-free gather, branchy gather,
 // scatter reference, hybrid executor at several migration fractions,
-// simulated-MPI multi-rank) integrates the same cases — the named
+// in-process multi-rank over the dist runtime) integrates the same cases — the named
 // Williamson/Galewsky ones plus seeded random cases — and the final
 // trajectories are compared against the serial baseline under each pair's
 // documented tolerance (bitwise for arithmetic-identical strategies, the
@@ -16,7 +16,7 @@
 //	conformance                          # level-2 mesh, all cases, 20 random seeds
 //	conformance -level 3 -steps 4        # bigger mesh, longer trajectories
 //	conformance -cases tc2,tc5 -random 0 # named cases only
-//	conformance -strategies gather-branchy,mpisim-r2
+//	conformance -strategies gather-branchy,dist-r2
 package main
 
 import (

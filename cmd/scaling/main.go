@@ -1,8 +1,9 @@
 // Command scaling reproduces Figures 8 and 9: strong and weak scaling of
 // the original code and the pattern-driven hybrid from 1 to 64 MPI
 // processes, on the modeled platform (FDR InfiniBand + PCIe staging). With
-// -real it additionally runs real goroutine-rank simulations with real halo
-// exchanges on a built mesh and reports measured wall time.
+// -real it additionally runs real in-process ranks (dist.RunLocal, halo
+// exchanges over loopback TCP) on a built mesh and reports the measured wall
+// time per step of the stepping window.
 //
 // Usage:
 //
@@ -47,7 +48,7 @@ func main() {
 			log.Fatal(err)
 		}
 		t := results.NewTable(
-			fmt.Sprintf("Real distributed runs (%d cells, %d steps, goroutine ranks)", msh.NCells, *steps),
+			fmt.Sprintf("Real distributed runs (%d cells, %d steps, in-process ranks over loopback TCP)", msh.NCells, *steps),
 			"Ranks", "ms/step (wall)")
 		for r := 1; r <= *maxRanks; r *= 2 {
 			wall, err := mpas.DistributedRun(msh, r, *steps, mpas.TC5)

@@ -1,7 +1,7 @@
 // swrank is the distributed shallow-water rank binary: one OS process per
 // rank, exchanging multi-layer halos over the internal/dist TCP runtime.
-// It is the process-level counterpart of the goroutine-based mpisim world
-// and the executable behind the repository's real strong-scaling numbers.
+// dist.RunLocal runs the same ranks as goroutines of one process; swrank is
+// the executable behind the repository's real strong-scaling numbers.
 //
 // Modes:
 //
@@ -307,7 +307,7 @@ func runRank(o *options) error {
 	pool := par.NewPool(workers)
 	defer pool.Close()
 
-	rs, err := dist.NewRankSolverOpts(b, c.Mesh, c.Cfg, c.Setup, pool,
+	rs, err := dist.NewRankSolver(b, c.Mesh, c.Cfg, c.Setup, pool,
 		dist.RankOptions{Overlap: o.overlap, TaskPlan: o.taskplan})
 	if err != nil {
 		return err

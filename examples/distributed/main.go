@@ -1,18 +1,20 @@
-// Distributed runs the shallow-water model across several simulated MPI
-// ranks: the sphere is decomposed by recursive bisection, each rank owns a
+// Distributed runs the shallow-water model across several MPI-style ranks:
+// the sphere is decomposed by recursive bisection, each rank owns a
 // contiguous patch plus a three-layer halo, and halo exchanges fire at every
 // RK substage — the communication structure of the paper's scaling
-// experiments (Figures 8 and 9). The run verifies that the distributed
+// experiments (Figures 8 and 9). The ranks are goroutines of this process
+// (dist.RunLocal) talking over loopback TCP through the same runtime the
+// multi-process swrank binary uses. The run verifies that the distributed
 // trajectory matches a serial reference bitwise on owned cells.
 package main
 
 import (
 	"fmt"
 	"log"
-	"sync"
 
+	"repro/internal/dist"
 	"repro/internal/mesh"
-	"repro/internal/mpisim"
+	"repro/internal/partition"
 	"repro/internal/sw"
 	"repro/internal/testcases"
 )
@@ -35,47 +37,55 @@ func main() {
 	testcases.SetupTC5(ref)
 	ref.Run(steps)
 
-	// Decompose and run.
-	d, err := mpisim.Decompose(msh, ranks)
+	// Decompose and run. Each rank fills only its own slots, and the
+	// results are printed once every rank has returned.
+	part, err := partition.Bisect(msh, ranks)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%s decomposed for %d ranks:\n", msh, ranks)
-	for r, l := range d.Locals {
-		fmt.Printf("  rank %d: %5d owned cells, %4d halo cells, halo message %5.1f KB, peers %v\n",
-			r, l.NOwnedCells, l.M.NCells-l.NOwnedCells,
-			float64(d.Plans[r].HaloBytes())/1024, d.Plans[r].Peers)
-	}
-
-	var mu sync.Mutex
-	matches := 0
-	world := mpisim.NewWorld(ranks)
-	world.Run(func(c *mpisim.Comm) {
-		rs, err := mpisim.NewRankSolver(c, d, cfg, testcases.SetupTC5)
+	rows := make([]string, ranks)
+	match := make([]bool, ranks)
+	var mass float64
+	err = dist.RunLocal(ranks, part.Owner, func(b *dist.Bootstrap) error {
+		rs, err := dist.NewRankSolver(b, msh, cfg, testcases.SetupTC5, nil, dist.RankOptions{})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		rs.Run(steps)
-
-		mass := rs.GlobalMass()
-		if c.Rank == 0 {
-			fmt.Printf("\nafter %d steps: global mass %.6e kg/m (allreduced)\n", steps, mass)
+		r, l, spec := b.Comm.Rank, rs.Local, rs.Ex.Spec
+		rows[r] = fmt.Sprintf("  rank %d: %5d owned cells, %4d halo cells, halo message %5.1f KB, peers %v",
+			r, l.NOwnedCells, l.M.NCells-l.NOwnedCells, float64(spec.HaloBytes())/1024, spec.Peers)
+		if err := rs.Run(steps); err != nil {
+			return err
 		}
-
-		ok := true
-		for lc := 0; lc < rs.Local.NOwnedCells; lc++ {
-			if rs.S.State.H[lc] != ref.State.H[rs.Local.CellL2G[lc]] {
-				ok = false
+		gm, err := rs.GlobalMass()
+		if err != nil {
+			return err
+		}
+		if r == 0 {
+			mass = gm
+		}
+		match[r] = true
+		for lc := 0; lc < l.NOwnedCells; lc++ {
+			if rs.S.State.H[lc] != ref.State.H[l.CellL2G[lc]] {
+				match[r] = false
 				break
 			}
 		}
-		mu.Lock()
-		if ok {
+		return nil
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	fmt.Printf("%s decomposed for %d ranks:\n", msh, ranks)
+	matches := 0
+	for r, row := range rows {
+		fmt.Println(row)
+		if match[r] {
 			matches++
 		}
-		mu.Unlock()
-	})
-
+	}
+	fmt.Printf("\nafter %d steps: global mass %.6e kg/m (allreduced)\n", steps, mass)
 	fmt.Printf("%d/%d ranks bitwise-match the serial reference on owned cells\n", matches, ranks)
 	if matches != ranks {
 		log.Fatal("distributed run diverged from serial")

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/dist"
 	"repro/internal/hybrid"
 	"repro/internal/mesh"
 	"repro/internal/mpisim"
+	"repro/internal/partition"
 	"repro/internal/pattern"
 	"repro/internal/perfmodel"
 	"repro/internal/results"
@@ -190,32 +192,47 @@ func MeasuredStep(m *Model, n int) time.Duration {
 	return time.Since(start) / time.Duration(n)
 }
 
-// DistributedRun executes a real multi-rank run (goroutine ranks, real halo
-// exchanges) and returns the max per-rank wall time per step plus the
-// modeled platform time for the same decomposition.
-func DistributedRun(m *mesh.Mesh, ranks, steps int, tc TestCase) (wall time.Duration, err error) {
-	d, err := mpisim.Decompose(m, ranks)
-	if err != nil {
-		return 0, err
-	}
-	cfg := sw.DefaultConfig(m)
+// DistributedRun executes a real multi-rank run (goroutine ranks of
+// dist.RunLocal, halo exchanges over loopback TCP) and returns the wall time
+// per step of the slowest rank. Only the stepping window, between two
+// barriers, is timed: partition, extraction and rendezvous are not.
+func DistributedRun(m *mesh.Mesh, ranks, steps int, tc TestCase) (time.Duration, error) {
 	setup := map[TestCase]func(*sw.Solver){TC2: testcases.SetupTC2, TC5: testcases.SetupTC5, TC6: testcases.SetupTC6}[tc]
 	if setup == nil {
 		return 0, fmt.Errorf("mpas: unknown test case %d", tc)
 	}
-	w := mpisim.NewWorld(ranks)
-	start := time.Now()
-	var firstErr error
-	w.Run(func(c *mpisim.Comm) {
-		rs, err := mpisim.NewRankSolver(c, d, cfg, setup)
-		if err != nil {
-			firstErr = err
-			return
-		}
-		rs.Run(steps)
-	})
-	if firstErr != nil {
-		return 0, firstErr
+	if steps < 1 {
+		return 0, fmt.Errorf("mpas: distributed run needs at least one step, got %d", steps)
 	}
-	return time.Since(start) / time.Duration(steps), nil
+	part, err := partition.Bisect(m, ranks)
+	if err != nil {
+		return 0, err
+	}
+	cfg := sw.DefaultConfig(m)
+	var slowest float64 // seconds; written by rank 0 only
+	err = dist.RunLocal(ranks, part.Owner, func(b *dist.Bootstrap) error {
+		rs, err := dist.NewRankSolver(b, m, cfg, setup, nil, dist.RankOptions{})
+		if err != nil {
+			return err
+		}
+		if err := b.Comm.Barrier(); err != nil {
+			return err
+		}
+		start := time.Now()
+		if err := rs.Run(steps); err != nil {
+			return err
+		}
+		if err := b.Comm.Barrier(); err != nil {
+			return err
+		}
+		rankMax, err := b.Comm.AllreduceMax(time.Since(start).Seconds())
+		if b.Comm.Rank == 0 {
+			slowest = rankMax
+		}
+		return err
+	})
+	if err != nil {
+		return 0, err
+	}
+	return time.Duration(slowest * float64(time.Second) / float64(steps)), nil
 }

@@ -13,8 +13,8 @@ import (
 
 // Errors the coordinator API maps onto HTTP statuses.
 var (
-	ErrNoWorkers = errors.New("cluster: no routable workers")
-	ErrNotFound  = errors.New("cluster: job not found")
+	ErrNoWorkers  = errors.New("cluster: no routable workers")
+	ErrNotFound   = errors.New("cluster: job not found")
 	ErrUnroutable = errors.New("cluster: job's worker is unreachable")
 )
 

@@ -17,7 +17,8 @@
 //   - Strategy is one way of executing the trajectory: the branch-free
 //     gather solver (serial or threaded), the Algorithm-3 branchy-gather and
 //     Algorithm-2 scatter reference steppers, the hybrid executor at several
-//     migration fractions, and mpisim multi-rank runs (strategies.go).
+//     migration fractions, and in-process dist multi-rank runs
+//     (strategies.go; DistProc in dist.go launches real processes).
 //   - Compare/CompareResults is the tolerance-aware comparator: max-ULP
 //     distance, relative l2/linf error, and the first-divergence location
 //     (variable, mesh element, RK step and stage) (compare.go).
@@ -26,7 +27,7 @@
 //     itself tested (perturb.go).
 //
 // The harness is exposed three ways: table-driven conformance suites in the
-// packages under test (sw, hybrid, mpisim), native Go fuzz targets
+// packages under test (sw, hybrid, dist), native Go fuzz targets
 // (FuzzStepEquivalence here, FuzzReductionForms, FuzzMeshRoundTrip), and the
 // cmd/conformance CLI wired into scripts/ci.sh.
 package conform

@@ -25,6 +25,7 @@ import (
 //   - The strategy needs a prebuilt binary, so it is NOT part of
 //     AllStrategies; the dist conformance suite builds one and constructs
 //     the strategy explicitly.
+//
 // With reorder, every rank runs on the locality-renumbered mesh (swrank
 // -reorder: SFC partition, renumbered rank-local kernels) and rank 0
 // converts the gathered fields back to canonical numbering before writing

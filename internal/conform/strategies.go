@@ -2,11 +2,11 @@ package conform
 
 import (
 	"fmt"
-	"sync"
 
+	"repro/internal/dist"
 	"repro/internal/hybrid"
-	"repro/internal/mpisim"
 	"repro/internal/par"
+	"repro/internal/partition"
 	"repro/internal/sw"
 )
 
@@ -262,50 +262,56 @@ func refStrategy(name string, exact bool, f forms) Strategy {
 	}}
 }
 
-// MPI is the distributed strategy: the case decomposed across ranks
-// goroutines with 3-layer halos, the final owned fields gathered back to
-// global indexing. Owned points reproduce the serial run bitwise; only the
-// global mass series is recorded per step (full invariants are rank-local).
+// MPI is the in-process distributed strategy: the case partitioned by
+// recursive bisection across `ranks` goroutine ranks of dist.RunLocal, with
+// 3-layer halos exchanged over loopback TCP and the final owned fields
+// gathered back to global indexing. Owned points reproduce the serial run
+// bitwise; only the global mass series is recorded per step (full
+// invariants are rank-local).
 func MPI(ranks int) Strategy {
-	name := fmt.Sprintf("mpisim-r%d", ranks)
+	name := fmt.Sprintf("dist-r%d", ranks)
 	return Strategy{Name: name, Exact: true, run: func(c *Case, _ bool) (*Result, error) {
-		d, err := mpisim.Decompose(c.Mesh, ranks)
+		part, err := partition.Bisect(c.Mesh, ranks)
 		if err != nil {
 			return nil, err
 		}
 		res := &Result{}
-		var mu sync.Mutex
-		var firstErr error
-		w := mpisim.NewWorld(ranks)
-		w.Run(func(comm *mpisim.Comm) {
-			rs, err := mpisim.NewRankSolver(comm, d, c.Cfg, c.Setup)
+		err = dist.RunLocal(ranks, part.Owner, func(b *dist.Bootstrap) error {
+			rs, err := dist.NewRankSolver(b, c.Mesh, c.Cfg, c.Setup, nil, dist.RankOptions{})
 			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
+				return err
 			}
-			record := func() {
-				mass := rs.GlobalMass()
-				if comm.Rank == 0 {
+			root := b.Comm.Rank == 0
+			record := func() error {
+				mass, err := rs.GlobalMass()
+				if root {
 					res.Mass = append(res.Mass, mass)
 				}
+				return err
 			}
-			record()
+			if err := record(); err != nil {
+				return err
+			}
 			for i := 0; i < c.Steps; i++ {
-				rs.Step()
-				record()
+				if err := rs.Step(); err != nil {
+					return err
+				}
+				if err := record(); err != nil {
+					return err
+				}
 			}
-			h := rs.GatherCellField(rs.S.State.H)
-			u := rs.GatherEdgeField(rs.S.State.U)
-			if comm.Rank == 0 {
+			h, err := rs.GatherCellField(rs.S.State.H)
+			if err != nil {
+				return err
+			}
+			u, err := rs.GatherEdgeField(rs.S.State.U)
+			if root {
 				res.H, res.U = h, u
 			}
+			return err
 		})
-		if firstErr != nil {
-			return nil, firstErr
+		if err != nil {
+			return nil, err
 		}
 		return res, nil
 	}}

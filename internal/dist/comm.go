@@ -29,8 +29,7 @@ const DefaultTimeout = 30 * time.Second
 // k-th arriving data frame — with the frame tag checked against the posted
 // tag as a protocol-consistency assertion. That is sufficient here because
 // both endpoints of a link execute the same deterministic program order
-// (the solver's exchange schedule), exactly like the channel-based mpisim
-// world.
+// (the solver's exchange schedule).
 //
 // Only one goroutine (the rank's driver) may call Post*/Wait/collectives;
 // the writer/reader goroutines are internal.
@@ -43,7 +42,8 @@ type Comm struct {
 
 	links []*link // indexed by peer rank; nil where no link exists
 
-	wg sync.WaitGroup // outstanding posted operations
+	wg        sync.WaitGroup // outstanding posted operations
+	closeOnce sync.Once
 
 	errMu    sync.Mutex
 	firstErr error
@@ -150,14 +150,17 @@ func (c *Comm) start() {
 
 // Close tears the links down. Outstanding operations fail fast; a peer
 // blocked on this rank gets a connection error rather than a timeout.
+// Calls after the first are no-ops.
 func (c *Comm) Close() {
-	for _, l := range c.links {
-		if l != nil {
-			close(l.sendQ)
-			close(l.recvQ)
-			l.conn.Close()
+	c.closeOnce.Do(func() {
+		for _, l := range c.links {
+			if l != nil {
+				close(l.sendQ)
+				close(l.recvQ)
+				l.conn.Close()
+			}
 		}
-	}
+	})
 }
 
 // fail records the first error. Subsequent operations complete immediately
@@ -321,8 +324,8 @@ func (c *Comm) allreduce(x float64, combine func(a, b float64) float64) (float64
 }
 
 // AllreduceSum returns the sum of x over all ranks, combined in rank order
-// on rank 0 — the same deterministic reduction order as mpisim, so global
-// invariants are bitwise-reproducible run to run.
+// on rank 0 — a fixed reduction order, so global invariants are
+// bitwise-reproducible run to run.
 func (c *Comm) AllreduceSum(x float64) (float64, error) {
 	return c.allreduce(x, func(a, b float64) float64 { return a + b })
 }

@@ -20,10 +20,9 @@ func (w announceWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// runWorld runs an N-rank world in-process: one goroutine per rank, each
-// performing the full TCP rendezvous on loopback, connecting to the given
-// peers (nil = all-to-all) and executing body. Any body error fails the
-// test.
+// runWorld runs an N-rank world through RunLocal, connecting each rank to
+// the given peers (nil = all-to-all) before executing body. Any rank error
+// fails the test.
 func runWorld(t *testing.T, n int, owner []int32, peersOf func(rank int) []int, body func(b *Bootstrap) error) {
 	t.Helper()
 	runWorldBoot(t, n, owner, func(b *Bootstrap) error {
@@ -34,55 +33,16 @@ func runWorld(t *testing.T, n int, owner []int32, peersOf func(rank int) []int, 
 		if err := b.ConnectPeers(peers); err != nil {
 			return err
 		}
-		defer b.Comm.Close()
 		return body(b)
 	})
 }
 
 // runWorldBoot is runWorld without the peer-linking step: body receives the
 // freshly rendezvoused Bootstrap and is responsible for ConnectPeers (e.g.
-// via NewRankSolver) and Close.
+// via NewRankSolver).
 func runWorldBoot(t *testing.T, n int, owner []int32, body func(b *Bootstrap) error) {
 	t.Helper()
-	addrCh := make(announceWriter, 1)
-	errs := make(chan error, n)
-	var addr0 string
-	var mu sync.Mutex
-	getAddr := func() string {
-		mu.Lock()
-		defer mu.Unlock()
-		if addr0 == "" {
-			addr0 = <-addrCh
-		}
-		return addr0
-	}
-	var wg sync.WaitGroup
-	for rank := 0; rank < n; rank++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			cfg := Config{Rank: rank, N: n, Timeout: 20 * time.Second}
-			var own func() ([]int32, error)
-			if rank == 0 {
-				cfg.Addr0 = "127.0.0.1:0"
-				cfg.Announce = addrCh
-				own = ownerMap(owner)
-			} else {
-				cfg.Addr0 = getAddr()
-			}
-			b, err := Connect(cfg, own)
-			if err != nil {
-				errs <- fmt.Errorf("rank %d: %w", rank, err)
-				return
-			}
-			if err := body(b); err != nil {
-				errs <- fmt.Errorf("rank %d: %w", rank, err)
-			}
-		}(rank)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
+	if err := RunLocal(n, owner, body); err != nil {
 		t.Fatal(err)
 	}
 }

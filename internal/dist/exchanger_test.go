@@ -101,8 +101,7 @@ func TestExchangerFillsHalos(t *testing.T) {
 
 // The decisive conformance test of the TCP substrate: multi-rank solver
 // runs — blocking and overlapped — through real sockets must reproduce the
-// single-process serial trajectory BITWISE on owned entities, exactly like
-// the channel-based mpisim world.
+// single-process serial trajectory BITWISE on owned entities.
 func TestRankSolverBitwiseMatchesSerial(t *testing.T) {
 	m := testMesh(t, 3)
 	cfg := sw.DefaultConfig(m)
@@ -126,13 +125,12 @@ func TestRankSolverBitwiseMatchesSerial(t *testing.T) {
 	} {
 		owner := bisectOwner(t, m, tc.ranks)
 		runWorldBoot(t, tc.ranks, owner, func(b *Bootstrap) error {
-			defer b.Comm.Close()
 			var pool *par.Pool
 			if tc.workers > 1 {
 				pool = par.NewPool(tc.workers)
 				defer pool.Close()
 			}
-			rs, err := NewRankSolverOpts(b, m, cfg, testcases.SetupTC5, pool,
+			rs, err := NewRankSolver(b, m, cfg, testcases.SetupTC5, pool,
 				RankOptions{Overlap: tc.overlap, TaskPlan: tc.taskplan})
 			if err != nil {
 				return err
@@ -198,8 +196,7 @@ func TestBlockingAndOverlapMassAgree(t *testing.T) {
 		var mu sync.Mutex
 		out := make([]float64, 0, steps)
 		runWorldBoot(t, 2, owner, func(b *Bootstrap) error {
-			defer b.Comm.Close()
-			rs, err := NewRankSolver(b, m, cfg, testcases.SetupTC5, nil, overlap)
+			rs, err := NewRankSolver(b, m, cfg, testcases.SetupTC5, nil, RankOptions{Overlap: overlap})
 			if err != nil {
 				return err
 			}

@@ -1,11 +1,8 @@
-// Package dist is the real multi-process distribution runtime: the TCP
-// message-passing substrate that turns the repository's simulated MPI world
-// (internal/mpisim, goroutines + channels) into separate OS processes
-// exchanging length-prefixed frames over persistent per-neighbor
-// connections.
-//
-// The layering mirrors mpisim deliberately so the two substrates stay
-// interchangeable under the same solver code:
+// Package dist is the rank runtime of the distributed shallow-water runs:
+// a TCP message-passing substrate exchanging length-prefixed frames over
+// persistent per-neighbor connections. Ranks are either separate OS
+// processes (cmd/swrank, Launch) or goroutines of one process (RunLocal);
+// both run the same rendezvous, links and frames over the network stack.
 //
 //   - frame.go      — the wire format: a fixed 18-byte header (magic,
 //     version, type, sender, tag, payload length) followed by the payload.
@@ -25,9 +22,13 @@
 //     overlap (sw.Overlap) and a blocking Exchange for the baseline, plus
 //     per-rank telemetry (bytes sent/received, wait-time histogram,
 //     overlap-efficiency gauge).
+//   - ranksolver.go — RankSolver: the rank-local solver with the halo
+//     exchange wired into its step, plus gathers and the global mass.
 //   - launcher.go   — Launch: spawn N local ranks of cmd/swrank, parse the
 //     rank-0 announce line, supervise, and on any abnormal exit kill the
 //     remaining ranks and report which rank failed.
+//   - local.go      — RunLocal: N goroutine ranks over loopback in one
+//     process, for tests, the conformance matrix and the examples.
 package dist
 
 import (

@@ -10,10 +10,12 @@ import (
 	"repro/internal/sw"
 )
 
-// HaloLayers is the halo depth of distributed runs — three layers cover the
-// dependency radius of one RK substage (see mpisim.HaloLayers for the
-// derivation; the two substrates must agree so a trajectory is substrate-
-// independent).
+// HaloLayers is the halo depth of distributed runs. Three layers cover the
+// dependency radius of one RK substage: tend_u at an owned edge reaches
+// pv/ke/h_edge values at most three cells away through the APVM and
+// edgesOnEdge stencils, so owned values match the serial run exactly. One
+// and two layers are not enough (TestShallowHaloDiverges,
+// TestTwoLayerHaloAlsoInsufficient).
 const HaloLayers = 3
 
 // DefaultMesh builds the canonical global mesh for distributed runs at the
@@ -26,12 +28,12 @@ func DefaultMesh(level int) (*mesh.Mesh, error) {
 	return mesh.Build(level, mesh.Options{LloydIterations: 2})
 }
 
-// RankSolver is one process-rank of a distributed shallow-water run: the
-// TCP counterpart of mpisim.RankSolver. Overlap mode steps through the
-// comm/compute-overlapped compiled plan (sw.NewOverlapPlanRunner); blocking
-// mode steps through the plain compiled plan with the exchange in the
-// PostSubstep hook slot. Both modes use the same Exchanger, links and
-// frames, so their difference is scheduling alone.
+// RankSolver is one rank of a distributed shallow-water run. Overlap mode
+// steps through the comm/compute-overlapped compiled plan
+// (sw.NewOverlapPlanRunner); blocking mode steps through the plain compiled
+// plan with the exchange in the PostSubstep hook slot. Both modes use the
+// same Exchanger, links and frames, so their difference is scheduling
+// alone.
 type RankSolver struct {
 	Comm  *Comm
 	Local *partition.Local
@@ -70,12 +72,18 @@ type RankOptions struct {
 // Every rank calls partition.FromOwner on the SAME owner map and extracts
 // every part, so local numberings agree across processes without any
 // further communication.
-func NewRankSolver(b *Bootstrap, g *mesh.Mesh, cfg sw.Config, setup func(*sw.Solver), pool *par.Pool, overlap bool) (*RankSolver, error) {
-	return NewRankSolverOpts(b, g, cfg, setup, pool, RankOptions{Overlap: overlap})
+//
+// Tracers registered by setup are exchanged after h and u at every
+// substage; they need the blocking schedule, so Overlap with tracers is an
+// error.
+func NewRankSolver(b *Bootstrap, g *mesh.Mesh, cfg sw.Config, setup func(*sw.Solver), pool *par.Pool, opts RankOptions) (*RankSolver, error) {
+	return newRankSolver(b, g, cfg, setup, pool, opts, HaloLayers)
 }
 
-// NewRankSolverOpts is NewRankSolver with the full scheduling options.
-func NewRankSolverOpts(b *Bootstrap, g *mesh.Mesh, cfg sw.Config, setup func(*sw.Solver), pool *par.Pool, opts RankOptions) (*RankSolver, error) {
+// newRankSolver is NewRankSolver with an explicit halo depth. Depths below
+// HaloLayers make owned values diverge from the serial run; only the
+// failure-injection tests use them.
+func newRankSolver(b *Bootstrap, g *mesh.Mesh, cfg sw.Config, setup func(*sw.Solver), pool *par.Pool, opts RankOptions, layers int) (*RankSolver, error) {
 	c := b.Comm
 	if len(b.Owner) != g.NCells {
 		return nil, fmt.Errorf("dist: owner map covers %d cells, mesh has %d", len(b.Owner), g.NCells)
@@ -86,7 +94,7 @@ func NewRankSolverOpts(b *Bootstrap, g *mesh.Mesh, cfg sw.Config, setup func(*sw
 	}
 	locals := make([]*partition.Local, c.N)
 	for r := 0; r < c.N; r++ {
-		locals[r] = partition.Extract(g, part, r, HaloLayers)
+		locals[r] = partition.Extract(g, part, r, layers)
 	}
 	specs := halo.BuildSpecs(g, locals)
 	if err := halo.Validate(specs); err != nil {
@@ -149,20 +157,40 @@ func NewRankSolverOpts(b *Bootstrap, g *mesh.Mesh, cfg sw.Config, setup func(*sw
 		}
 		s.Runner = runner
 		s.PostSubstep = func(stage int, st *sw.State) {
-			if err := rs.Ex.Exchange(st.H, st.U); err != nil && rs.err == nil {
+			if err := rs.exchange(stage, st); err != nil && rs.err == nil {
 				rs.err = err
 			}
 		}
 	}
 
 	setup(s)
-	// Same bootstrap as mpisim: one exchange so a not-purely-analytic setup
-	// still starts consistent, then refresh the diagnostics.
-	if err := rs.Ex.Exchange(s.State.H, s.State.U); err != nil {
+	if opts.Overlap && len(s.Tracers) > 0 {
+		// The overlap schedule has no hook slot for tracer fields: the step
+		// would fall back to the kernel loop with no exchange at all.
+		return nil, fmt.Errorf("dist: rank %d: %d tracer(s) need the blocking schedule, not Overlap", c.Rank, len(s.Tracers))
+	}
+	// One exchange so a not-purely-analytic setup still starts consistent,
+	// then refresh the diagnostics.
+	if err := rs.exchange(3, s.State); err != nil {
 		return nil, err
 	}
 	s.Init()
 	return rs, nil
+}
+
+// exchange is the blocking halo exchange of one substage sync point: h and
+// u, then each tracer's field for that stage. The tracer messages reuse the
+// already exchanged u as their edge field to keep one message shape.
+func (r *RankSolver) exchange(stage int, st *sw.State) error {
+	if err := r.Ex.Exchange(st.H, st.U); err != nil {
+		return err
+	}
+	for _, tr := range r.S.Tracers {
+		if err := r.Ex.Exchange(tr.HaloField(stage), st.U); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Step advances one RK-4 step (4 halo exchanges) and reports any exchange
@@ -201,8 +229,8 @@ func (r *RankSolver) GlobalMass() (float64, error) {
 }
 
 // GatherCellField reconstructs the global cell field from every rank's
-// owned portion: rank 0 returns the full field, others nil. Protocol as in
-// mpisim: [globalIdx, value] pairs, one frame per rank.
+// owned portion: rank 0 returns the full field, others nil. Each rank sends
+// one frame of [globalIdx, value] pairs.
 func (r *RankSolver) GatherCellField(local []float64) ([]float64, error) {
 	if r.Comm.Rank != 0 {
 		buf := make([]float64, 2*r.Local.NOwnedCells)

@@ -254,16 +254,14 @@ func (b *Bootstrap) ConnectPeers(peers []int) error {
 	return nil
 }
 
+// close tears the bootstrap down: the peer listener, if still open, and
+// every link (Comm.Close).
 func (b *Bootstrap) close() {
 	if b.ln != nil {
 		b.ln.Close()
 		b.ln = nil
 	}
-	for _, l := range b.Comm.links {
-		if l != nil {
-			l.conn.Close()
-		}
-	}
+	b.Comm.Close()
 }
 
 // dialRetry dials addr with exponential backoff until the deadline — the

@@ -1,9 +1,8 @@
 // Package halo defines the halo-exchange pattern of the distributed
 // shallow-water runs: which local cell and edge slots each rank packs into
 // its outgoing per-peer messages and which slots it fills from incoming
-// ones. It is the single definition consumed by both message-passing
-// substrates — the in-process channel simulator (internal/mpisim) and the
-// real multi-process TCP runtime (internal/dist) — so the two cannot drift.
+// ones. The rank runtime (internal/dist) binds it to its links, and the
+// tests and benchmarks of the pack/unpack cost use it directly.
 //
 // Send lists on the owning rank are constructed in exactly the same order
 // as the receiving rank's recv lists, so halo messages need no per-element

@@ -1,17 +1,21 @@
 package mpisim_test
 
-// Conformance suite for the distributed runs: with the full 3-layer halo
-// depth, the gathered owned fields after a multi-step trajectory must match
-// the serial baseline bitwise (each owned point sees exactly the serial
-// stencil inputs), and the allreduced mass series must track the serial one
-// to roundoff.
+// Conformance of the real multi-rank runs whose cost this package models:
+// with the full 3-layer halo depth, the gathered owned fields after a
+// multi-step trajectory must match the serial baseline bitwise (each owned
+// point sees exactly the serial stencil inputs), and the allreduced mass
+// series must track the serial one to roundoff and stay conserved.
 
 import (
 	"math"
 	"testing"
 
 	"repro/internal/conform"
+	"repro/internal/dist"
 	"repro/internal/mesh"
+	"repro/internal/partition"
+	"repro/internal/sw"
+	"repro/internal/testcases"
 )
 
 func TestDistributedConform(t *testing.T) {
@@ -60,5 +64,42 @@ func TestDistributedConform(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+func TestDistributedMassConserved(t *testing.T) {
+	m, err := dist.DefaultMesh(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sw.DefaultConfig(m)
+	const P = 3
+	part, err := partition.Bisect(m, P)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = dist.RunLocal(P, part.Owner, func(b *dist.Bootstrap) error {
+		rs, err := dist.NewRankSolver(b, m, cfg, testcases.SetupTC2, nil, dist.RankOptions{})
+		if err != nil {
+			return err
+		}
+		m0, err := rs.GlobalMass()
+		if err != nil {
+			return err
+		}
+		if err := rs.Run(5); err != nil {
+			return err
+		}
+		m1, err := rs.GlobalMass()
+		if err != nil {
+			return err
+		}
+		if rel := math.Abs(m1-m0) / m0; rel > 1e-13 {
+			t.Errorf("rank %d sees mass drift %v", b.Comm.Rank, rel)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,6 +1,11 @@
+// Package mpisim is the α–β cost model of the paper's distributed runs
+// (Figures 8 and 9): per-rank compute from the hybrid tuner, halo messages
+// under the FDR InfiniBand model, and — for the hybrid — the PCIe staging of
+// halo data. Real multi-rank runs go through internal/dist.
 package mpisim
 
 import (
+	"repro/internal/dist"
 	"repro/internal/hybrid"
 	"repro/internal/partition"
 	"repro/internal/perfmodel"
@@ -23,7 +28,7 @@ type ScalingPoint struct {
 const neighbors = 6
 
 // ExchangesPerStep is the number of halo exchanges per RK-4 step (one per
-// substage, as wired into the solver's PostSubstep hook).
+// substage, as dist.RankSolver wires them into the step).
 const ExchangesPerStep = 4
 
 // haloModel returns the modeled halo cell and edge counts of one rank.
@@ -31,7 +36,7 @@ func haloModel(cellsPerProc, procs int) (cells, edges int) {
 	if procs == 1 {
 		return 0, 0
 	}
-	for l := 1; l <= HaloLayers; l++ {
+	for l := 1; l <= dist.HaloLayers; l++ {
 		cells += partition.HaloCellsModel(cellsPerProc, l)
 	}
 	return cells, 3 * cells

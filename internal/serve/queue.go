@@ -32,9 +32,9 @@ func (h queueHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h queueHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *queueHeap) Push(x any)        { *h = append(*h, x.(queueItem)) }
-func (h *queueHeap) Pop() any          { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
+func (h queueHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *queueHeap) Push(x any)   { *h = append(*h, x.(queueItem)) }
+func (h *queueHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
 
 type queue struct {
 	mu     sync.Mutex

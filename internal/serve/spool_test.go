@@ -133,13 +133,13 @@ func TestJobSpecNormalize(t *testing.T) {
 		t.Fatalf("defaults not filled: %+v", ok)
 	}
 	bad := []JobSpec{
-		{},                          // neither steps nor days
-		{Steps: 5, Days: 1},         // both
-		{Steps: 5, TestCase: 3},     // unknown test case
-		{Steps: 5, Level: 9},        // beyond MaxLevel
-		{Steps: 5, Mode: "gpu"},     // unknown mode
-		{Steps: -1},                 // negative
-		{Steps: 5, TimeoutSec: -1},  // negative timeout
+		{},                         // neither steps nor days
+		{Steps: 5, Days: 1},        // both
+		{Steps: 5, TestCase: 3},    // unknown test case
+		{Steps: 5, Level: 9},       // beyond MaxLevel
+		{Steps: 5, Mode: "gpu"},    // unknown mode
+		{Steps: -1},                // negative
+		{Steps: 5, TimeoutSec: -1}, // negative timeout
 	}
 	for i, spec := range bad {
 		if err := spec.Normalize(); err == nil {

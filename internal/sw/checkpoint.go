@@ -62,7 +62,8 @@ func (s *Solver) WriteCheckpoint(w io.Writer) error {
 }
 
 // ReadCheckpoint restores a checkpoint written by WriteCheckpoint into the
-// solver (whose mesh must match) and recomputes the diagnostics.
+// solver (whose mesh must match) and recomputes the diagnostics. On any
+// error the solver is left exactly as it was.
 func (s *Solver) ReadCheckpoint(r io.Reader) error {
 	br := bufio.NewReader(r)
 	get := func() (uint64, error) {
@@ -111,26 +112,23 @@ func (s *Solver) ReadCheckpoint(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	readArr := func(dst []float64, what string, fromCanon func(dst, src []float64)) error {
-		if s.Renumber == nil {
-			return getArr(dst, what)
-		}
-		tmp := make([]float64, len(dst))
-		if err := getArr(tmp, what); err != nil {
-			return err
-		}
-		fromCanon(dst, tmp)
-		return nil
-	}
-	if err := readArr(s.State.H, "h", s.renumberCellFrom); err != nil {
+	// Decode everything into scratch first and commit only on full
+	// success: a truncated or mismatched file leaves the solver untouched.
+	h := make([]float64, len(s.State.H))
+	u := make([]float64, len(s.State.U))
+	b := make([]float64, len(s.B))
+	if err := getArr(h, "h"); err != nil {
 		return err
 	}
-	if err := readArr(s.State.U, "u", s.renumberEdgeFrom); err != nil {
+	if err := getArr(u, "u"); err != nil {
 		return err
 	}
-	if err := readArr(s.B, "b", s.renumberCellFrom); err != nil {
+	if err := getArr(b, "b"); err != nil {
 		return err
 	}
+	s.cellFromCanonical(s.State.H, h)
+	s.edgeFromCanonical(s.State.U, u)
+	s.cellFromCanonical(s.B, b)
 	s.StepCount = int(steps)
 	s.Time = math.Float64frombits(timeBits)
 	s.Init()
@@ -158,11 +156,22 @@ func (s *Solver) canonicalEdge(a []float64) []float64 {
 	return out
 }
 
-func (s *Solver) renumberCellFrom(dst, canon []float64) {
+// cellFromCanonical stores a canonical-order cell field into dst in the
+// solver's numbering.
+func (s *Solver) cellFromCanonical(dst, canon []float64) {
+	if s.Renumber == nil {
+		copy(dst, canon)
+		return
+	}
 	s.Renumber.CellFromCanonical(dst, canon)
 }
 
-func (s *Solver) renumberEdgeFrom(dst, canon []float64) {
+// edgeFromCanonical is cellFromCanonical for edge fields.
+func (s *Solver) edgeFromCanonical(dst, canon []float64) {
+	if s.Renumber == nil {
+		copy(dst, canon)
+		return
+	}
 	s.Renumber.EdgeFromCanonical(dst, canon)
 }
 

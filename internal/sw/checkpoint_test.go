@@ -2,6 +2,7 @@ package sw_test
 
 import (
 	"bytes"
+	"math"
 	"path/filepath"
 	"testing"
 
@@ -130,5 +131,51 @@ func TestViscositySmoothsVorticity(t *testing.T) {
 	}
 	if rough, smooth := run(0), run(1e5); smooth >= rough {
 		t.Errorf("viscosity did not smooth vorticity: %v vs %v", smooth, rough)
+	}
+}
+
+// A checkpoint cut short at any byte must fail to load and leave the
+// solver bit-identical: state, topography and clock.
+func TestCheckpointTruncatedLeavesSolverUntouched(t *testing.T) {
+	m := testMesh(t, 1)
+	cfg := sw.DefaultConfig(m)
+	src, _ := sw.NewSolver(m, cfg)
+	testcases.SetupTC5(src)
+	src.Run(2)
+	var buf bytes.Buffer
+	if err := src.WriteCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	full := buf.Bytes()
+
+	live, _ := sw.NewSolver(m, cfg)
+	testcases.SetupTC2(live)
+	live.Run(1)
+	h := append([]float64(nil), live.State.H...)
+	u := append([]float64(nil), live.State.U...)
+	b := append([]float64(nil), live.B...)
+	steps, tm := live.StepCount, live.Time
+	same := func(x, y []float64) bool {
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for n := 0; n < len(full); n++ {
+		if err := live.ReadCheckpoint(bytes.NewReader(full[:n])); err == nil {
+			t.Fatalf("checkpoint truncated to %d of %d bytes loaded", n, len(full))
+		}
+		if !same(live.State.H, h) || !same(live.State.U, u) || !same(live.B, b) ||
+			live.StepCount != steps || math.Float64bits(live.Time) != math.Float64bits(tm) {
+			t.Fatalf("checkpoint truncated to %d of %d bytes modified the solver", n, len(full))
+		}
+	}
+	if err := live.ReadCheckpoint(bytes.NewReader(full)); err != nil {
+		t.Fatalf("full checkpoint: %v", err)
+	}
+	if !same(live.State.H, src.State.H) || live.StepCount != src.StepCount {
+		t.Fatal("full checkpoint did not restore the source state")
 	}
 }

@@ -307,7 +307,7 @@ func (e *Ensemble) ReadCheckpoint(r io.Reader) error {
 		fromCanon(dst, tmp)
 		return nil
 	}
-	if err := readArr(e.s.B, "b", e.s.renumberCellFrom); err != nil {
+	if err := readArr(e.s.B, "b", e.s.cellFromCanonical); err != nil {
 		return err
 	}
 	for i := range e.members {
@@ -320,10 +320,10 @@ func (e *Ensemble) ReadCheckpoint(r io.Reader) error {
 		if err != nil {
 			return err
 		}
-		if err := readArr(m.State.H, fmt.Sprintf("member %d h", i), e.s.renumberCellFrom); err != nil {
+		if err := readArr(m.State.H, fmt.Sprintf("member %d h", i), e.s.cellFromCanonical); err != nil {
 			return err
 		}
-		if err := readArr(m.State.U, fmt.Sprintf("member %d u", i), e.s.renumberEdgeFrom); err != nil {
+		if err := readArr(m.State.U, fmt.Sprintf("member %d u", i), e.s.edgeFromCanonical); err != nil {
 			return err
 		}
 		m.StepCount = int(steps)

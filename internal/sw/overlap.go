@@ -9,7 +9,8 @@ import (
 
 // This file extends the compiled plan with split interior/halo scheduling —
 // the comm/compute overlap of a distributed rank. The blocking rank step
-// (mpisim's PostSubstep hook) serializes exchange and compute:
+// (the exchange in the PostSubstep hook slot) serializes exchange and
+// compute:
 //
 //	tendency -> [exchange h,u] -> diagnostics
 //

@@ -17,7 +17,7 @@ import (
 // before vs after the wait, with each element computed exactly once by
 // identical arithmetic. This pins the mechanical half of the overlay
 // (coverage, ordering, barriers) independently of real distribution; the
-// mpisim and dist tests pin the taint/depth half.
+// dist tests pin the taint/depth half.
 func noopOverlap(nc, ne, nv, width int, posts, waits *int) *sw.Overlap {
 	cut := func(n, t int) int {
 		k := n - width*(t+1)
@@ -39,8 +39,8 @@ func noopOverlap(nc, ne, nv, width int, posts, waits *int) *sw.Overlap {
 // valid on ANY mesh: the former never defers work past the wait, the latter
 // defers everything, so neither can violate a stencil dependency. Mid-splits
 // are only licensed by a real halo-depth ordering — see
-// TestOverlapRealDepthSplitBitwiseNeutral below (and the mpisim/dist tests
-// for real exchanges).
+// TestOverlapRealDepthSplitBitwiseNeutral below (and the dist tests for
+// real exchanges).
 func TestOverlapSplitExtremesBitwiseNeutral(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		for _, width := range []int{0, 1 << 20} {

@@ -1,9 +1,15 @@
 #!/usr/bin/env bash
-# Canonical repository check: vet, build, the full test suite under the race
-# detector with a coverage profile, the differential-conformance matrix, and
-# a coverage floor. CI and pre-commit hooks should run exactly this script.
+# Canonical repository check: gofmt, vet, build, the full test suite under
+# the race detector with a coverage profile, the differential-conformance
+# matrix, and a coverage floor. CI and pre-commit hooks should run exactly
+# this script.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "== gofmt =="
+# Every Go file in the tree, perfbench included, must be gofmt-clean.
+unformatted=$(gofmt -l .)
+[ -z "$unformatted" ] || { echo "ci.sh: FAIL — gofmt -l lists:" >&2; echo "$unformatted" >&2; exit 1; }
 
 echo "== go vet =="
 go vet ./...
